@@ -9,14 +9,15 @@ share one valuation row.
 
 import random
 
-from quantile_alloc import DemandQuota, goods, greedy_balanced_usw, opt_welfare
+from quantile_alloc import demand_quota, goods, greedy_balanced_usw, opt_welfare
 from quantile_alloc.cli import generate_instance
 from quantile_alloc.core import Quantile
 
 inst = goods(["1/2", "1/2"], [[5, 4, 1, 0], [5, 1, 3, 2]])
-quota = DemandQuota.for_instance(inst)
+k = inst.items_per_agent()
+quotas = tuple(demand_quota(q, k) for q in inst.quantiles)
 print("values:", [list(r) for r in inst.values], "quantiles: 1/2, 1/2")
-print("bundle size k =", quota.k, "| demand quotas:", quota.per_agent)
+print("bundle size k =", k, "| demand quotas:", quotas)
 
 report = greedy_balanced_usw(inst)
 opt, _ = opt_welfare(inst, "usw", balanced=True)

@@ -5,7 +5,7 @@ A chore bundle is scored on the negated values, so a pessimist (tau = 0)
 carries their worst chore and an optimist (tau = 1) only notices their best.
 """
 
-import math
+from fractions import Fraction
 
 from quantile_alloc import (
     balanced_esc,
@@ -26,9 +26,10 @@ cover = chores(["0/1", "0/1"], [[1, 1, 9], [9, 9, 2]])
 report = usc_tau0_setcover(cover)
 opt = opt_welfare(cover, "usc")[0]
 print("greedy set-cover USC, disutilities:", [list(r) for r in cover.values])
+h_m = sum(Fraction(1, j) for j in range(1, cover.m + 1))
 print(
     f"  greedy cost {report.welfare} vs optimum {opt}; "
-    f"proven ceiling (ln m + 1) * opt = {(math.log(cover.m) + 1) * opt:.2f}"
+    f"proven ceiling H_m * opt = {h_m * opt} (H_m = 1 + 1/2 + ... + 1/m)"
 )
 print("  bundles:", report.allocation.bundles(2))
 print()

@@ -39,7 +39,6 @@ from .core import (
     usw,
 )
 from .esw_solvers import (
-    ZeroOnePartition,
     balanced_esw,
     balanced_esw_binary,
     identical_unbalanced_esw,
@@ -66,7 +65,6 @@ from .oracle import (
     opt_welfare,
 )
 from .usw_solvers import (
-    DemandQuota,
     greedy_balanced_usw,
     identical_binary_usw_unbalanced,
     optimistic_exact_usw,
@@ -78,7 +76,6 @@ __all__ = [
     "BudgetExceededError",
     "CHORES",
     "CoverCandidate",
-    "DemandQuota",
     "EnumerationBudget",
     "GOODS",
     "Graph",
@@ -89,7 +86,6 @@ __all__ = [
     "Quantile",
     "SolveReport",
     "WelfareValue",
-    "ZeroOnePartition",
     "allocation_count",
     "balanced_esc",
     "balanced_esc_binary",

@@ -43,7 +43,6 @@ def balanced_blocks(n: int, m: int) -> Allocation:
     return Allocation(tuple(g // k for g in range(m)))
 
 
-def all_to_first(n: int, m: int) -> Allocation:
+def all_to_first(m: int) -> Allocation:
     """Deterministic unbalanced fallback: every item to agent 0."""
-    del n
     return Allocation((0,) * m)

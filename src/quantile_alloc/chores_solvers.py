@@ -7,10 +7,11 @@ quantile of the *negated* values, so quantile 0 scores an agent on their
 worst chore and quantile 1 on their best one.  Reading the quantile on the
 raw disutilities instead would flip every statement below.
 
-Egalitarian cost mirrors the goods machinery with the threshold reversed:
+Egalitarian cost rides the goods machinery with the threshold reversed:
 cost <= nu - 1 under the original disutilities iff cost 0 after rewriting
-every disutility to 1-if->=nu-else-0, so the searches below minimize over
-candidate cost levels instead of maximizing.
+every disutility to 1-if->=nu-else-0, so the one threshold search of
+``_threshold.py`` minimizes over candidate cost levels here instead of
+maximizing.
 
 Note (observation, not an operation): a minimum egalitarian-cost balanced
 allocation keeps every agent's bundle cost at most the largest single
@@ -22,23 +23,18 @@ only; no solver relies on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
-from ._construct import all_to_first, balanced_blocks, owner_from_bundles, round_robin_pad
+from ._construct import all_to_first, owner_from_bundles
+from ._threshold import copies_decider, threshold_search
 from .core import (
     CHORES,
     Instance,
     IntractableQuantileError,
     InvalidInstanceError,
     SolveReport,
-    demand_quota,
     esc,
-    threshold_binary,
     usc,
 )
-from .matching import bipartite_graph, max_cardinality_bipartite
-
-BinaryDecider = Callable[[Instance], SolveReport]
 
 
 def _require_chores(instance: Instance) -> None:
@@ -47,75 +43,11 @@ def _require_chores(instance: Instance) -> None:
 
 
 def balanced_esc_binary(instance: Instance) -> SolveReport:
-    """Decide whether a balanced allocation can give every agent cost 0.
-
-    Same copies-to-items matching as the balanced goods decision, except
-    copies connect to chores the agent finds costless: an agent needs
-    min(k, k - ceil(tau_i k) + 1) such chores to keep the quantile of a
-    k-sized bundle at disutility 0 under any padding.
-    """
+    """Decide whether a balanced allocation can give every agent cost 0, by
+    the copies-to-items matching of the balanced goods decision with copies
+    connected to the chores the agent finds costless."""
     _require_chores(instance)
-    if not instance.is_binary:
-        raise InvalidInstanceError("entries must be binary")
-    k = instance.items_per_agent()
-    n, m = instance.n, instance.m
-    quotas = [demand_quota(q, k) for q in instance.quantiles]
-
-    copy_agent: list[int] = []
-    for i in range(n):
-        copy_agent.extend([i] * quotas[i])
-    edges = [
-        (c, g, 1)
-        for c, i in enumerate(copy_agent)
-        for g in range(m)
-        if instance.values[i][g] == 0
-    ]
-    matching = max_cardinality_bipartite(bipartite_graph(len(copy_agent), m, edges))
-
-    if matching.size == len(copy_agent):
-        bundles: list[list[int]] = [[] for _ in range(n)]
-        mate = matching.mate()
-        matched_items: set[int] = set()
-        for c, i in enumerate(copy_agent):
-            partner = mate.get(c)
-            if partner is not None:
-                g = partner - len(copy_agent)
-                bundles[i].append(g)
-                matched_items.add(g)
-        round_robin_pad(bundles, [g for g in range(m) if g not in matched_items], k)
-        allocation = owner_from_bundles(bundles, m)
-        feasible = True
-    else:
-        allocation = balanced_blocks(n, m)
-        feasible = False
-    return SolveReport(
-        allocation=allocation,
-        welfare=esc(instance, allocation),
-        algorithm="balanced_esc_binary",
-        feasible=feasible,
-    )
-
-
-def _smallest_feasible_cost(
-    instance: Instance, decider: BinaryDecider
-) -> tuple[int, SolveReport]:
-    """Binary-search the candidate cost levels {0} + distinct disutilities for
-    the smallest level c whose thresholded decision (at nu = c + 1) is
-    feasible.  The largest candidate is always feasible, so this never
-    fails."""
-    levels = [0] + sorted({e for row in instance.values for e in row if e > 0})
-    best: tuple[int, SolveReport] | None = None
-    lo, hi = 0, len(levels) - 1
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        report = decider(threshold_binary(instance, levels[mid] + 1))
-        if report.feasible:
-            best = (levels[mid], report)
-            hi = mid - 1
-        else:
-            lo = mid + 1
-    assert best is not None, "maximum disutility level must be feasible"
-    return best
+    return copies_decider(instance)
 
 
 def balanced_esc(instance: Instance) -> SolveReport:
@@ -123,13 +55,7 @@ def balanced_esc(instance: Instance) -> SolveReport:
     quantiles, via threshold search over the matching decision."""
     _require_chores(instance)
     instance.items_per_agent()
-    _, report = _smallest_feasible_cost(instance, balanced_esc_binary)
-    allocation = report.allocation
-    return SolveReport(
-        allocation=allocation,
-        welfare=esc(instance, allocation),
-        algorithm="balanced_esc",
-    )
+    return threshold_search(instance, balanced_esc_binary, "balanced_esc", balanced=True)
 
 
 @dataclass(frozen=True)
@@ -164,7 +90,8 @@ def cover_candidates(instance: Instance) -> list[CoverCandidate]:
 
 def usc_tau0_setcover(instance: Instance) -> SolveReport:
     """Greedy weighted-set-cover allocation for pessimists (all quantiles 0);
-    utilitarian cost at most (ln m + 1) times the optimum.
+    utilitarian cost at most H_m = 1 + 1/2 + ... + 1/m (<= ln m + 1) times
+    the optimum (Chvatal 1979).
 
     Candidates are per-agent cheapest-prefix sets.  The greedy loop picks the
     candidate minimizing weight / newly-covered (exact rational comparison,
@@ -217,7 +144,7 @@ def _esc_tau0_binary(instance: Instance) -> SolveReport:
     for g in range(m):
         holders = [i for i in range(n) if instance.values[i][g] == 0]
         if not holders:
-            allocation = all_to_first(n, m)
+            allocation = all_to_first(m)
             return SolveReport(allocation, esc(instance, allocation), algorithm, feasible=False)
         owner.append(holders[0])
     allocation = owner_from_bundles([[g for g in range(m) if owner[g] == i] for i in range(n)], m)
@@ -235,18 +162,8 @@ def _esc_tau1_binary(instance: Instance) -> SolveReport:
             bundles[i] = list(range(m))
             allocation = owner_from_bundles(bundles, m)
             return SolveReport(allocation, esc(instance, allocation), algorithm, feasible=True)
-    allocation = all_to_first(n, m)
+    allocation = all_to_first(m)
     return SolveReport(allocation, esc(instance, allocation), algorithm, feasible=False)
-
-
-def _exact_esc_extreme(instance: Instance, decider: BinaryDecider, algorithm: str) -> SolveReport:
-    _, report = _smallest_feasible_cost(instance, decider)
-    allocation = report.allocation
-    return SolveReport(
-        allocation=allocation,
-        welfare=esc(instance, allocation),
-        algorithm=algorithm,
-    )
 
 
 def esc_tau0(instance: Instance) -> SolveReport:
@@ -255,7 +172,7 @@ def esc_tau0(instance: Instance) -> SolveReport:
     _require_chores(instance)
     if any(not q.is_zero for q in instance.quantiles):
         raise IntractableQuantileError("quantile mismatch: solver requires quantile 0")
-    return _exact_esc_extreme(instance, _esc_tau0_binary, "esc_tau0")
+    return threshold_search(instance, _esc_tau0_binary, "esc_tau0", balanced=False)
 
 
 def esc_tau1(instance: Instance) -> SolveReport:
@@ -264,4 +181,4 @@ def esc_tau1(instance: Instance) -> SolveReport:
     _require_chores(instance)
     if any(not q.is_one for q in instance.quantiles):
         raise IntractableQuantileError("quantile mismatch: solver requires quantile 1")
-    return _exact_esc_extreme(instance, _esc_tau1_binary, "esc_tau1")
+    return threshold_search(instance, _esc_tau1_binary, "esc_tau1", balanced=False)

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import random
 import sys
 from dataclasses import dataclass
@@ -51,7 +50,7 @@ from .core import (
     usc,
     usw,
 )
-from .esw_solvers import balanced_esw, identical_unbalanced_esw, unbalanced_esw
+from .esw_solvers import balanced_esw, esw_family, identical_unbalanced_esw, unbalanced_esw
 from .oracle import BudgetExceededError, EnumerationBudget, opt_welfare
 from .usw_solvers import (
     greedy_balanced_usw,
@@ -202,18 +201,6 @@ def _quantiles_from_args(args: argparse.Namespace) -> list[Quantile]:
 # ---------------------------------------------------------------- dispatch
 
 
-def _esw_family(tau: Quantile) -> str:
-    if tau.is_zero:
-        return "tau0"
-    if tau.is_one:
-        return "tau1"
-    if tau == Quantile(1, 3):
-        return "third"
-    if tau.denominator == tau.numerator + 1:
-        return "frac"
-    return "hard"
-
-
 _BALANCED_ONLY = {"greedy", "matching"}
 _UNBALANCED_ONLY = {"scapegoat", "optimistic", "frac", "third", "tau0", "tau1", "setcover", "identical"}
 
@@ -267,7 +254,7 @@ def dispatch_solve(
                 raise IntractableQuantileError(
                     "heterogeneous quantiles are not supported for unbalanced egalitarian welfare"
                 )
-            family = _esw_family(tau)
+            family = esw_family(tau)
             if algorithm != "dispatch" and family != algorithm:
                 raise IntractableQuantileError(
                     f"quantile mismatch: instance quantile {tau} is not handled by '{algorithm}'"
@@ -372,8 +359,10 @@ def _check_bound(
         ok = instance.n * alg >= (instance.n - 1) * opt_value
         bound = "n * welfare >= (n-1) * optimum"
     elif name == "usc_tau0_setcover":
-        ok = alg <= (math.log(instance.m) + 1) * opt_value
-        bound = "cost <= (ln m + 1) * optimum"
+        # Chvatal 1979: greedy cover <= H_m * optimum, H_m = 1 + 1/2 + ... + 1/m.
+        harmonic = sum(Fraction(1, j) for j in range(1, instance.m + 1))
+        ok = alg <= harmonic * opt_value
+        bound = f"cost <= H_m * optimum (H_{instance.m} = {harmonic})"
     else:
         ok = alg == opt_value
         bound = "exact equality with the optimum"

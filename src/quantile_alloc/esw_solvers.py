@@ -3,23 +3,21 @@
 Everything here rides on one reduction: an allocation has egalitarian
 welfare >= nu under integer values if and only if it has egalitarian welfare
 1 after rewriting every value to 1-if->=nu-else-0.  So each solver is a
-binary decision procedure ("can everyone get value 1?") wrapped in a binary
-search over the distinct matrix values.
+binary decision procedure ("can everyone get value 1?") wrapped in the one
+threshold search of ``_threshold.py``, shared with the chores solvers.
 
-Balanced bundles are decided by a copies-to-items bipartite matching, for any
-mix of quantiles.  Unbalanced bundles are only tractable for homogeneous
-quantiles in {0, 1/3, 1} or of the form t/(t+1); each family gets its own
-matching construction.  Requesting any other quantile raises
-IntractableQuantileError rather than approximating, because no multiplicative
-approximation is possible once the decision is NP-hard.
+Balanced bundles are decided by the copies-to-items bipartite matching of
+``_threshold.py``, for any mix of quantiles.  Unbalanced bundles are only
+tractable for homogeneous quantiles in {0, 1/3, 1} or of the form t/(t+1);
+each family gets its own matching construction.  Requesting any other
+quantile raises IntractableQuantileError rather than approximating, because
+no multiplicative approximation is possible once the decision is NP-hard.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
-from ._construct import all_to_first, balanced_blocks, owner_from_bundles, round_robin_pad
+from ._construct import all_to_first, owner_from_bundles
+from ._threshold import BinaryDecider, copies_decider, threshold_search
 from .core import (
     GOODS,
     Instance,
@@ -27,13 +25,9 @@ from .core import (
     InvalidInstanceError,
     Quantile,
     SolveReport,
-    demand_quota,
     esw,
-    threshold_binary,
 )
 from .matching import Graph, bipartite_graph, max_cardinality_bipartite, max_weight_general
-
-BinaryDecider = Callable[[Instance], SolveReport]
 
 
 def _require_goods(instance: Instance) -> None:
@@ -46,26 +40,17 @@ def _require_binary(instance: Instance) -> None:
         raise InvalidInstanceError("entries must be binary")
 
 
-@dataclass(frozen=True)
-class ZeroOnePartition:
-    """Split of the items into universal zeros (valued 0 by every agent) and
-    the complement (valued 1 by at least one agent)."""
-
-    zeros: tuple[int, ...]
-    ones: tuple[int, ...]
-
-    @classmethod
-    def of(cls, instance: Instance) -> "ZeroOnePartition":
-        zeros = tuple(
-            g for g in range(instance.m) if all(row[g] == 0 for row in instance.values)
-        )
-        zero_set = set(zeros)
-        return cls(zeros=zeros, ones=tuple(g for g in range(instance.m) if g not in zero_set))
-
-
 def _zero_one_split(instance: Instance) -> tuple[list[int], list[int]]:
-    split = ZeroOnePartition.of(instance)
-    return list(split.zeros), list(split.ones)
+    """Universal zeros (items valued 0 by every agent) and the complement
+    (items valued 1 by at least one agent)."""
+    zeros: list[int] = []
+    ones: list[int] = []
+    for g in range(instance.m):
+        if all(row[g] == 0 for row in instance.values):
+            zeros.append(g)
+        else:
+            ones.append(g)
+    return zeros, ones
 
 
 def _first_valuing_agent(instance: Instance, *items: int) -> int:
@@ -76,76 +61,11 @@ def _first_valuing_agent(instance: Instance, *items: int) -> int:
 
 
 def balanced_esw_binary(instance: Instance) -> SolveReport:
-    """Decide whether a balanced allocation can give every agent value 1.
-
-    Each agent i gets min(k, k - ceil(tau_i k) + 1) copy-vertices; copies are
-    matched to distinct items the agent values 1.  Saturating every copy is
-    necessary and sufficient, and matched bundles stay at value 1 under any
-    padding to k items.
-    """
+    """Decide whether a balanced allocation can give every agent value 1, by
+    the copies-to-items matching: each agent's copies are matched to distinct
+    items the agent values 1."""
     _require_goods(instance)
-    _require_binary(instance)
-    k = instance.items_per_agent()
-    n, m = instance.n, instance.m
-    quotas = [demand_quota(q, k) for q in instance.quantiles]
-
-    copy_agent: list[int] = []
-    for i in range(n):
-        copy_agent.extend([i] * quotas[i])
-    edges = [
-        (c, g, 1)
-        for c, i in enumerate(copy_agent)
-        for g in range(m)
-        if instance.values[i][g] == 1
-    ]
-    matching = max_cardinality_bipartite(bipartite_graph(len(copy_agent), m, edges))
-
-    if matching.size == len(copy_agent):
-        bundles: list[list[int]] = [[] for _ in range(n)]
-        mate = matching.mate()
-        matched_items: set[int] = set()
-        for c, i in enumerate(copy_agent):
-            partner = mate.get(c)
-            if partner is not None:
-                g = partner - len(copy_agent)
-                bundles[i].append(g)
-                matched_items.add(g)
-        round_robin_pad(bundles, [g for g in range(m) if g not in matched_items], k)
-        allocation = owner_from_bundles(bundles, m)
-        feasible = True
-    else:
-        allocation = balanced_blocks(n, m)
-        feasible = False
-    return SolveReport(
-        allocation=allocation,
-        welfare=esw(instance, allocation),
-        algorithm="balanced_esw_binary",
-        feasible=feasible,
-    )
-
-
-def _distinct_positive_values(instance: Instance) -> list[int]:
-    return sorted({entry for row in instance.values for entry in row if entry > 0})
-
-
-def _largest_feasible_level(
-    instance: Instance, decider: BinaryDecider
-) -> tuple[int, SolveReport] | None:
-    """Binary-search the distinct positive values for the largest level whose
-    thresholded instance the decider accepts.  Sound because feasibility at a
-    level implies feasibility at every smaller level."""
-    levels = _distinct_positive_values(instance)
-    best: tuple[int, SolveReport] | None = None
-    lo, hi = 0, len(levels) - 1
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        report = decider(threshold_binary(instance, levels[mid]))
-        if report.feasible:
-            best = (levels[mid], report)
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return best
+    return copies_decider(instance)
 
 
 def balanced_esw(instance: Instance) -> SolveReport:
@@ -153,16 +73,7 @@ def balanced_esw(instance: Instance) -> SolveReport:
     quantiles, via threshold search over the matching decision."""
     _require_goods(instance)
     instance.items_per_agent()
-    best = _largest_feasible_level(instance, balanced_esw_binary)
-    if best is None:
-        allocation = balanced_blocks(instance.n, instance.m)
-    else:
-        allocation = best[1].allocation
-    return SolveReport(
-        allocation=allocation,
-        welfare=esw(instance, allocation),
-        algorithm="balanced_esw",
-    )
+    return threshold_search(instance, balanced_esw_binary, "balanced_esw", balanced=True)
 
 
 def _saturating_matching(instance: Instance) -> dict[int, int] | None:
@@ -180,7 +91,7 @@ def _saturating_matching(instance: Instance) -> dict[int, int] | None:
 
 
 def _infeasible_unbalanced(instance: Instance, algorithm: str) -> SolveReport:
-    allocation = all_to_first(instance.n, instance.m)
+    allocation = all_to_first(instance.m)
     return SolveReport(
         allocation=allocation,
         welfare=esw(instance, allocation),
@@ -350,23 +261,39 @@ def unbalanced_esw_binary_tau1(instance: Instance) -> SolveReport:
     return SolveReport(allocation, esw(instance, allocation), algorithm, feasible=True)
 
 
+def esw_family(tau: Quantile) -> str:
+    """The tractable unbalanced-ESW family of a homogeneous quantile: "tau0",
+    "tau1", "third" (1/3), "frac" (t/(t+1)), or "hard" for every other
+    quantile."""
+    if tau.is_zero:
+        return "tau0"
+    if tau.is_one:
+        return "tau1"
+    if tau == Quantile(1, 3):
+        return "third"
+    if tau.denominator == tau.numerator + 1:
+        return "frac"
+    return "hard"
+
+
 def binary_esw_decider_for(tau: Quantile) -> BinaryDecider:
     """The binary decision procedure for a homogeneous quantile, or raise
     IntractableQuantileError outside the tractable family
     {0, 1/3, 1} union {t/(t+1)}."""
-    if tau.is_zero:
-        return unbalanced_esw_binary_tau0
-    if tau.is_one:
-        return unbalanced_esw_binary_tau1
-    if tau == Quantile(1, 3):
-        return unbalanced_esw_binary_third
-    if tau.denominator == tau.numerator + 1:
+    family = esw_family(tau)
+    if family == "hard":
+        raise IntractableQuantileError(
+            f"intractable quantile {tau}: maximizing egalitarian welfare is NP-hard here "
+            "and admits no multiplicative approximation"
+        )
+    if family == "frac":
         t = tau.numerator
         return lambda inst: unbalanced_esw_binary_frac(inst, t)
-    raise IntractableQuantileError(
-        f"intractable quantile {tau}: maximizing egalitarian welfare is NP-hard here "
-        "and admits no multiplicative approximation"
-    )
+    return {
+        "tau0": unbalanced_esw_binary_tau0,
+        "tau1": unbalanced_esw_binary_tau1,
+        "third": unbalanced_esw_binary_third,
+    }[family]
 
 
 def unbalanced_esw(instance: Instance) -> SolveReport:
@@ -380,13 +307,7 @@ def unbalanced_esw(instance: Instance) -> SolveReport:
             "heterogeneous quantiles are not supported for unbalanced egalitarian welfare"
         )
     decider = binary_esw_decider_for(tau)
-    best = _largest_feasible_level(instance, decider)
-    allocation = all_to_first(instance.n, instance.m) if best is None else best[1].allocation
-    return SolveReport(
-        allocation=allocation,
-        welfare=esw(instance, allocation),
-        algorithm="unbalanced_esw",
-    )
+    return threshold_search(instance, decider, "unbalanced_esw", balanced=False)
 
 
 def _identical_binary_esw(instance: Instance) -> SolveReport:
@@ -477,10 +398,6 @@ def identical_unbalanced_esw(instance: Instance) -> SolveReport:
         raise InvalidInstanceError("quantiles are not identical")
     if instance.is_binary:
         return _identical_binary_esw(instance)
-    best = _largest_feasible_level(instance, _identical_binary_esw)
-    allocation = all_to_first(instance.n, instance.m) if best is None else best[1].allocation
-    return SolveReport(
-        allocation=allocation,
-        welfare=esw(instance, allocation),
-        algorithm="identical_unbalanced_esw",
+    return threshold_search(
+        instance, _identical_binary_esw, "identical_unbalanced_esw", balanced=False
     )

@@ -19,8 +19,6 @@ Four routes, by regime:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ._construct import owner_from_bundles, round_robin_pad
 from .core import (
     GOODS,
@@ -40,24 +38,6 @@ def _require_goods(instance: Instance) -> None:
         raise InvalidInstanceError("utilitarian-welfare solvers require a goods instance")
 
 
-@dataclass(frozen=True)
-class DemandQuota:
-    """Per-agent demand sizes for balanced bundles of size k = m/n.
-
-    ``per_agent[i] = min(k, k - ceil(tau_i * k) + 1)`` is how many top items
-    agent i must secure so that any padding of their bundle to k items cannot
-    drop its quantile value below the cheapest secured item.
-    """
-
-    k: int
-    per_agent: tuple[int, ...]
-
-    @classmethod
-    def for_instance(cls, instance: Instance) -> "DemandQuota":
-        k = instance.items_per_agent()
-        return cls(k=k, per_agent=tuple(demand_quota(q, k) for q in instance.quantiles))
-
-
 def greedy_balanced_usw(instance: Instance) -> SolveReport:
     """Greedy balanced allocation with utilitarian guarantee min(m/n + 1, n).
 
@@ -67,8 +47,10 @@ def greedy_balanced_usw(instance: Instance) -> SolveReport:
     agent index.
     """
     _require_goods(instance)
-    quota = DemandQuota.for_instance(instance)
-    n, k = instance.n, quota.k
+    k = instance.items_per_agent()
+    n = instance.n
+    # Top items each agent must secure to pin down its k-item bundle value.
+    quotas = [demand_quota(q, k) for q in instance.quantiles]
 
     pool: list[int] = list(range(instance.m))
     bundles: list[list[int]] = [[] for _ in range(n)]
@@ -80,7 +62,7 @@ def greedy_balanced_usw(instance: Instance) -> SolveReport:
         best_set: list[int] = []
         for i in unassigned:
             row = instance.values[i]
-            ranked = sorted(pool, key=lambda g: (-row[g], g))[: quota.per_agent[i]]
+            ranked = sorted(pool, key=lambda g: (-row[g], g))[: quotas[i]]
             score = row[ranked[-1]]
             if score > best_score:
                 best_agent, best_score, best_set = i, score, ranked

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from quantile_alloc import Allocation, Graph, Instance, bipartite_graph, make_instance
 
@@ -35,6 +36,11 @@ def random_instance(
     else:
         rows = [[rng.randint(0, top) for _ in range(m)] for _ in range(n)]
     return make_instance(kind, taus, rows)
+
+
+def harmonic(m: int) -> Fraction:
+    """H_m = 1 + 1/2 + ... + 1/m, exactly: Chvatal's bound on greedy set cover."""
+    return sum(Fraction(1, j) for j in range(1, m + 1))
 
 
 def random_allocation(rng: random.Random, n: int, m: int, nonempty: bool = False) -> Allocation:

@@ -9,11 +9,18 @@ lines as they complete.
 from __future__ import annotations
 
 import json
-import math
 import random
 import time
+import zlib
 
-from helpers import ALL_TAUS, random_allocation, random_bipartite, random_graph, random_instance
+from helpers import (
+    ALL_TAUS,
+    harmonic,
+    random_allocation,
+    random_bipartite,
+    random_graph,
+    random_instance,
+)
 from quantile_alloc import (
     balanced_esc,
     balanced_esw,
@@ -77,7 +84,7 @@ def test_c1_exact_solver_equivalence():
     violations: list[str] = []
 
     def run(tag, make_instance_fn, solver, objective, balanced):
-        rng = random.Random(SEED_BASE + hash(tag) % 10**6)
+        rng = random.Random(SEED_BASE + zlib.crc32(tag.encode()))
         for trial in range(per_solver):
             inst = make_instance_fn(rng)
             report = solver(inst)
@@ -161,7 +168,7 @@ def test_c2_quantile_family_decisions():
     }
     violations: list[str] = []
     for tau, solver in solvers.items():
-        rng = random.Random(SEED_BASE + hash(tau) % 10**6)
+        rng = random.Random(SEED_BASE + zlib.crc32(tau.encode()))
         for trial in range(per_tau):
             n = rng.randint(1, 3)
             m = rng.randint(1, 8)
@@ -230,7 +237,8 @@ def test_c4_scapegoat_bound_and_witness():
 
 
 def test_c5_setcover_bound():
-    """Greedy cover cost stays within (ln m + 1) of the optimal cost."""
+    """Greedy cover cost stays within H_m = 1 + 1/2 + ... + 1/m of the optimal
+    cost (Chvatal 1979), checked in exact rationals."""
     start = time.monotonic()
     trials = 300
     rng = random.Random(SEED_BASE + 5)
@@ -241,7 +249,7 @@ def test_c5_setcover_bound():
         inst = random_instance(rng, n, m, kind="chores", taus=["0/1"] * n)
         report = usc_tau0_setcover(inst)
         opt = opt_welfare(inst, "usc")[0]
-        if report.welfare > (math.log(m) + 1) * opt:
+        if report.welfare > harmonic(m) * opt:
             violations += 1
     elapsed = time.monotonic() - start
     report_line(

@@ -3,12 +3,11 @@ utilitarian cost, and the extreme-quantile exact routines."""
 
 from __future__ import annotations
 
-import math
 import random
 
 import pytest
 
-from helpers import random_instance
+from helpers import harmonic, random_instance
 from quantile_alloc import (
     Allocation,
     IntractableQuantileError,
@@ -117,7 +116,7 @@ class TestSetCover:
             inst = random_instance(rng, n, m, kind="chores", taus=["0/1"] * n)
             report = usc_tau0_setcover(inst)
             opt = opt_welfare(inst, "usc")[0]
-            assert report.welfare <= (math.log(m) + 1) * opt
+            assert report.welfare <= harmonic(m) * opt
             assert usc(inst, report.allocation) == report.welfare
 
 

@@ -7,8 +7,11 @@ import json
 
 import pytest
 
-from quantile_alloc import SolveReport, Allocation, goods
+from helpers import harmonic
+from quantile_alloc import SolveReport, Allocation, chores, goods
 from quantile_alloc.cli import (
+    BoundViolationError,
+    _check_bound,
     dispatch_solve,
     generate_instance,
     instance_to_doc,
@@ -311,6 +314,23 @@ class TestBenchCommand:
         assert code == 0
         summary = out.strip().splitlines()[-1].split(",")
         assert float(summary[7]) >= 2 / 3 - 1e-9
+
+
+class TestCheckBound:
+    # H_3 = 11/6, so an optimum of 6 allows a set-cover cost of exactly 11.
+    INSTANCE = chores(["0/1"] * 2, [[1, 2, 3], [3, 2, 1]])
+
+    def report(self, cost):
+        return SolveReport(Allocation((0, 0, 0)), cost, "usc_tau0_setcover")
+
+    def test_setcover_at_harmonic_bound_passes(self):
+        assert harmonic(3) * 6 == 11
+        _check_bound(self.INSTANCE, self.report(11), 6, seed=0)
+
+    def test_setcover_one_above_harmonic_bound_raises(self):
+        # ln 3 + 1 = 2.0986..., so the old float bound let a cost of 12 through.
+        with pytest.raises(BoundViolationError, match="H_m"):
+            _check_bound(self.INSTANCE, self.report(12), 6, seed=7)
 
 
 class TestDispatchTable:

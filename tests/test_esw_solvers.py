@@ -4,6 +4,7 @@ quantile family, and the structural success-path invariants."""
 from __future__ import annotations
 
 import random
+import zlib
 
 import pytest
 
@@ -256,7 +257,7 @@ class TestUnbalancedDispatcher:
 
     @pytest.mark.parametrize("tau", ["0/1", "1/3", "1/2", "2/3", "3/4", "1/1"])
     def test_matches_oracle_general_values(self, tau):
-        rng = random.Random(hash(tau) % 10**6)
+        rng = random.Random(zlib.crc32(tau.encode()))
         for _ in range(40):
             n = rng.randint(1, 3)
             m = rng.randint(1, 6)

@@ -10,11 +10,11 @@ import pytest
 from helpers import TRACTABLE_TAUS, random_instance
 from quantile_alloc import (
     Allocation,
-    DemandQuota,
     IntractableQuantileError,
     InvalidInstanceError,
     bundle_value,
     chores,
+    demand_quota,
     goods,
     greedy_balanced_usw,
     identical_binary_usw_unbalanced,
@@ -28,9 +28,9 @@ from quantile_alloc import (
 class TestDemandQuota:
     def test_values(self):
         inst = goods(["0/1", "1/2", "1/1"], [[1] * 6] * 3)
-        quota = DemandQuota.for_instance(inst)
-        assert quota.k == 2
-        assert quota.per_agent == (2, 2, 1)
+        k = inst.items_per_agent()
+        assert k == 2
+        assert tuple(demand_quota(q, k) for q in inst.quantiles) == (2, 2, 1)
 
     def test_range_invariant(self):
         rng = random.Random(5)
@@ -38,8 +38,7 @@ class TestDemandQuota:
             n = rng.randint(1, 4)
             k = rng.randint(1, 4)
             inst = random_instance(rng, n, n * k)
-            quota = DemandQuota.for_instance(inst)
-            assert all(1 <= q <= quota.k for q in quota.per_agent)
+            assert all(1 <= demand_quota(q, k) <= k for q in inst.quantiles)
 
 
 class TestGreedyBalanced:
