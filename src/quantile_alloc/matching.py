@@ -1,18 +1,29 @@
 """Exact matching engine used by the welfare solvers.
 
-Three routines: maximum-cardinality matching on bipartite graphs (hand-rolled
-augmenting paths, plenty for desk-scale graphs), and maximum-weight matching
-on bipartite and general graphs (blossom-based, via networkx, which runs in
-exact integer arithmetic when all weights are integers).
+Three routines, all in exact integer arithmetic:
+
+* maximum-cardinality bipartite matching: augmenting paths found by an
+  iterative depth-first search;
+* maximum-weight bipartite matching: the Hungarian method on the dense
+  weight matrix, then a tie-break read off its optimal duals;
+* maximum-weight general matching: the blossom algorithm of networkx, for
+  graphs with odd cycles.
 
 Determinism contract: all three routines are pure functions of the input
 graph.  The weighted routines additionally break ties between equally heavy
 matchings toward the lexicographically smallest sorted edge-index sequence
 (missing entries comparing as +infinity, i.e. low-index edges are greedily
-preferred).  This is enforced arithmetically: edge i receives a perturbation
-bonus of 2**(E-1-i) on top of ``weight * 2**E``, which makes the optimum of
-the perturbed problem unique, so the result cannot depend on solver
-internals.
+preferred), so the result cannot depend on solver internals.  The two
+routes meet this contract differently:
+
+* bipartite: given optimal duals, the maximum-weight matchings are exactly
+  the matchings of dual-tight edges that cover every vertex of positive
+  dual.  Edges are fixed greedily in index order whenever such a matching
+  still exists around them; by the Mendelsohn-Dulmage theorem that is one
+  alternating-path test per side of the graph.
+* general: edge i receives a perturbation bonus of 2**(E-1-i) on top of
+  ``weight * 2**E``, which makes the optimum of the perturbed problem
+  unique.
 """
 
 from __future__ import annotations
@@ -115,7 +126,9 @@ def max_cardinality_bipartite(graph: Graph) -> Matching:
     """Maximum-cardinality matching in a bipartite graph via augmenting paths.
 
     Left vertices are scanned in ascending order and adjacency lists are kept
-    in ascending order, so the result is deterministic.
+    in ascending order, so the result is deterministic.  Each augmenting-path
+    search is a depth-first search on an explicit stack, so path length is
+    not bounded by the interpreter's recursion limit.
     """
     left, _ = _require_bipartition(graph)
     adj: dict[int, list[int]] = {u: [] for u in sorted(left)}
@@ -127,30 +140,223 @@ def max_cardinality_bipartite(graph: Graph) -> Matching:
     for u in adj:
         adj[u].sort()
 
-    match_right: dict[int, int] = {}
+    # match_right[v]: left mate of right vertex v, or -1.  seen[v]: the last
+    # epoch whose searches reached v.  A failed search changes nothing, and
+    # nothing it reached leads to a free vertex, so its marks stay valid for
+    # the searches after it until the next augmentation opens a new epoch.
+    match_right = [-1] * graph.num_vertices
+    seen = [-1] * graph.num_vertices
 
-    def try_augment(u: int, visited: set[int]) -> bool:
-        for v in adj[u]:
-            if v in visited:
-                continue
-            visited.add(v)
-            if v not in match_right or try_augment(match_right[v], visited):
-                match_right[v] = u
-                return True
+    def try_augment(root: int, epoch: int) -> bool:
+        # stack[d] is the left vertex at depth d with its adjacency cursor;
+        # through[d] is the right vertex that led from depth d to depth d + 1.
+        stack = [(root, iter(adj[root]))]
+        through: list[int] = []
+        while stack:
+            u, cursor = stack[-1]
+            for v in cursor:
+                if seen[v] == epoch:
+                    continue
+                seen[v] = epoch
+                if match_right[v] == -1:
+                    match_right[v] = u
+                    for (w, _), x in zip(stack, through):
+                        match_right[x] = w
+                    return True
+                through.append(v)
+                stack.append((match_right[v], iter(adj[match_right[v]])))
+                break
+            else:
+                stack.pop()
+                if through:
+                    through.pop()
         return False
 
-    for u in sorted(left):
-        try_augment(u, set())
+    epoch = 0
+    for root in adj:
+        if try_augment(root, epoch):
+            epoch += 1
 
     chosen = tuple(
-        e
-        for e in graph.edges
-        if match_right.get(e[1] if e[0] in left else e[0]) == (e[0] if e[0] in left else e[1])
+        e for e in graph.edges if match_right[e[0]] == e[1] or match_right[e[1]] == e[0]
     )
     return Matching(chosen)
 
 
-def _max_weight_perturbed(graph: Graph) -> Matching:
+def _hungarian(weight: list[list[int]]) -> tuple[list[int], list[int], list[int]]:
+    """Maximum-weight assignment of every row of a dense non-negative matrix
+    with at least as many columns as rows, with its optimal duals.
+
+    Shortest-augmenting-path Hungarian method (Jonker & Volgenant 1987) in
+    exact integers.  Returns ``(y, z, col_row)``: ``col_row[j]`` is the row
+    assigned to column j or -1, ``y[i] + z[j] >= weight[i][j]`` everywhere
+    with equality on assigned pairs, and ``z[j] == 0`` on every column the
+    assignment leaves free.  The caller appends an all-zero column, so some
+    column stays free and every ``y[i] >= 0`` as well.
+    """
+    rows, cols = len(weight), len(weight[0])
+    y = [0] * rows
+    z = [0] * cols
+    col_row = [-1] * cols
+    for root in range(rows):
+        row = weight[root]
+        # slack[j]: least reduced cost y[i] + z[j] - weight[i][j] over tree
+        # rows i; via[j]: the tree column whose row attains it (-1: the root).
+        slack = [z[j] - row[j] for j in range(cols)]
+        via = [-1] * cols
+        outside = list(range(cols))
+        tree_rows = [root]
+        tree_cols: list[int] = []
+        while True:
+            delta = min(slack[j] for j in outside)
+            for i in tree_rows:
+                y[i] -= delta
+            for j in tree_cols:
+                z[j] += delta
+            for j in outside:
+                slack[j] -= delta
+            reached = next(j for j in outside if slack[j] == 0)
+            outside.remove(reached)
+            tree_cols.append(reached)
+            i = col_row[reached]
+            if i == -1:
+                break
+            tree_rows.append(i)
+            row, base = weight[i], y[i]
+            for j in outside:
+                cur = base + z[j] - row[j]
+                if cur < slack[j]:
+                    slack[j] = cur
+                    via[j] = reached
+        # Flip the alternating path back to the root.
+        while reached != -1:
+            back = via[reached]
+            col_row[reached] = root if back == -1 else col_row[back]
+            reached = back
+    return y, z, col_row
+
+
+def _cover_path(
+    start: int,
+    adj: list[list[int]],
+    other_mate: list[int],
+    dual: list[int],
+    dead: list[bool],
+    other_dead: list[bool],
+) -> tuple[dict[int, int], int] | None:
+    """Alternating-path search that re-covers ``start`` on its side.
+
+    The path may end at a free vertex of the other side, or at one whose
+    mate is dead or has dual 0: that mate is then given up.  Returns the
+    search tree (other-side vertex -> the vertex that reached it) and the
+    path's last vertex, or None when no such path exists.
+    """
+    parent: dict[int, int] = {}
+    queue = [start]
+    for s in queue:
+        for t in adj[s]:
+            if other_dead[t] or t in parent:
+                continue
+            parent[t] = s
+            x = other_mate[t]
+            if x == -1 or dead[x] or dual[x] == 0:
+                return parent, t
+            queue.append(x)
+    return None
+
+
+def _flip(found: tuple[dict[int, int], int], mate: list[int], other_mate: list[int]) -> None:
+    """Augment along a path found by ``_cover_path`` whose start is unmatched."""
+    parent, t = found
+    if other_mate[t] != -1:
+        mate[other_mate[t]] = -1
+    while t != -1:
+        s = parent[t]
+        nxt = mate[s]
+        mate[s], other_mate[t] = t, s
+        t = nxt
+
+
+def max_weight_bipartite(graph: Graph) -> Matching:
+    """Maximum-weight matching in a bipartite graph (not necessarily perfect).
+
+    Ties between equally heavy matchings go to the lexicographically smallest
+    edge-index set; see the module docstring.
+    """
+    left, right = _require_bipartition(graph)
+    if not graph.edges:
+        return Matching(())
+    row_side, col_side = (left, right) if len(left) <= len(right) else (right, left)
+    row_of = {v: i for i, v in enumerate(sorted(row_side))}
+    col_of = {v: j for j, v in enumerate(sorted(col_side))}
+    ends = [
+        (row_of[u], col_of[v]) if u in row_of else (row_of[v], col_of[u])
+        for u, v, _ in graph.edges
+    ]
+    # Missing edges weigh 0; the extra all-zero column keeps the row duals >= 0.
+    weight = [[0] * (len(col_of) + 1) for _ in row_of]
+    for (i, j), (_, _, w) in zip(ends, graph.edges):
+        weight[i][j] = w
+    y, z, col_row = _hungarian(weight)
+
+    # Complementary slackness: the maximum-weight matchings are exactly the
+    # matchings of tight edges that cover every vertex of positive dual.
+    row_adj: list[list[int]] = [[] for _ in row_of]
+    col_adj: list[list[int]] = [[] for _ in col_of]
+    for (i, j), (_, _, w) in zip(ends, graph.edges):
+        if y[i] + z[j] == w:
+            row_adj[i].append(j)
+            col_adj[j].append(i)
+    # One tight matching covering the positive-dual rows (a_*), one covering
+    # the positive-dual columns (b_*); the optimal assignment does both.
+    a_row, a_col = [-1] * len(row_of), [-1] * len(col_of)
+    for j, i in enumerate(col_row[: len(col_of)]):
+        if i != -1 and weight[i][j] > 0:
+            a_row[i], a_col[j] = j, i
+    b_row, b_col = list(a_row), list(a_col)
+    dead_row, dead_col = [False] * len(row_of), [False] * len(col_of)
+
+    # Fix tight edges greedily in index order.  By Mendelsohn-Dulmage, some
+    # maximum-weight matching holds every fixed edge exactly when both cover
+    # matchings survive losing the fixed edge's two endpoints.
+    chosen: list[Edge] = []
+    for (i, j), edge in zip(ends, graph.edges):
+        if dead_row[i] or dead_col[j] or y[i] + z[j] != edge[2]:
+            continue
+        dead_row[i] = dead_col[j] = True
+        # Only the row that loses column j in a_*, and the column that loses
+        # row i in b_*, need a new mate; () means no repair is needed.
+        k, l = a_col[j], b_row[i]
+        a_path = b_path = ()
+        if k not in (-1, i) and y[k] > 0:
+            a_path = _cover_path(k, row_adj, a_col, y, dead_row, dead_col)
+        if a_path is not None and l not in (-1, j) and z[l] > 0:
+            b_path = _cover_path(l, col_adj, b_row, z, dead_col, dead_row)
+        if a_path is None or b_path is None:
+            dead_row[i] = dead_col[j] = False
+            continue
+        for row_mate, col_mate in ((a_row, a_col), (b_row, b_col)):
+            if row_mate[i] != -1:
+                col_mate[row_mate[i]] = -1
+            if col_mate[j] != -1:
+                row_mate[col_mate[j]] = -1
+            row_mate[i] = col_mate[j] = -1
+        if a_path:
+            _flip(a_path, a_row, a_col)
+        if b_path:
+            _flip(b_path, b_col, b_row)
+        chosen.append(edge)
+    return Matching(tuple(chosen))
+
+
+def max_weight_general(graph: Graph) -> Matching:
+    """Exact maximum-weight matching on a general (possibly non-bipartite)
+    graph, with the same deterministic tie-breaking as the bipartite routine.
+
+    Odd cycles are handled exactly (blossom algorithm underneath); this is
+    required because some solver constructions mix item-item edges with
+    agent-item edges in one graph.
+    """
     # Perturbed weights make the optimum unique: the true weight (scaled by
     # 2**E) always dominates, and among ties the bonus 2**(E-1-i) prefers
     # low edge indices.  Integer arithmetic throughout keeps this exact.
@@ -165,24 +371,3 @@ def _max_weight_perturbed(graph: Graph) -> Matching:
     mate_pairs = {frozenset(p) for p in nx.max_weight_matching(g, maxcardinality=False)}
     chosen = tuple(e for e in graph.edges if frozenset((e[0], e[1])) in mate_pairs)
     return Matching(chosen)
-
-
-def max_weight_bipartite(graph: Graph) -> Matching:
-    """Maximum-weight matching in a bipartite graph (not necessarily perfect).
-
-    Ties between equally heavy matchings go to the lexicographically smallest
-    edge-index set; see the module docstring.
-    """
-    _require_bipartition(graph)
-    return _max_weight_perturbed(graph)
-
-
-def max_weight_general(graph: Graph) -> Matching:
-    """Exact maximum-weight matching on a general (possibly non-bipartite)
-    graph, with the same deterministic tie-breaking as the bipartite routine.
-
-    Odd cycles are handled exactly (blossom algorithm underneath); this is
-    required because some solver constructions mix item-item edges with
-    agent-item edges in one graph.
-    """
-    return _max_weight_perturbed(graph)

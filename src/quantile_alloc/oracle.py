@@ -149,9 +149,9 @@ def brute_matching(graph: Graph, weighted: bool = True) -> Matching:
 
     Maximizes total weight when ``weighted`` else cardinality.  Ties go to
     the lexicographically smallest sorted edge-index sequence with missing
-    entries comparing as +infinity -- the same contract the matching engine
-    promises, implemented here by direct comparison instead of weight
-    perturbation so the two routes stay independent.
+    entries comparing as +infinity (padded with ``len(edges)``, above every
+    index) -- the same contract the matching engine promises, implemented
+    here by direct comparison so the routes stay independent.
     """
     edges = graph.edges
     if len(edges) > MAX_BRUTE_EDGES:
@@ -159,14 +159,14 @@ def brute_matching(graph: Graph, weighted: bool = True) -> Matching:
             f"{len(edges)} edges exceed the brute-force cap of {MAX_BRUTE_EDGES}"
         )
 
-    best_key: tuple[int, tuple[float, ...]] | None = None
+    best_key: tuple[int, tuple[int, ...]] | None = None
     best_subset: tuple[int, ...] = ()
     pad = len(edges)
 
     def consider(subset: list[int]) -> None:
         nonlocal best_key, best_subset
         value = sum(edges[i][2] for i in subset) if weighted else len(subset)
-        seq = tuple(subset) + (math.inf,) * (pad - len(subset))
+        seq = tuple(subset) + (pad,) * (pad - len(subset))
         if best_key is None or value > best_key[0] or (value == best_key[0] and seq < best_key[1]):
             best_key = (value, seq)
             best_subset = tuple(subset)

@@ -123,6 +123,17 @@ class TestSolveCommand:
         assert main(["solve", "-i", inst_file, "--objective", "esw", "--algorithm", "third"]) == 1
         assert main(["solve", "-i", inst_file, "--objective", "esw", "--algorithm", "frac"]) == 0
 
+    def test_long_augmenting_paths(self, tmp_path, capsys):
+        # Agent u values items u-1 and u: the matcher's augmenting paths grow
+        # as long as the instance, far past the interpreter's recursion limit.
+        n = 1200
+        values = [[1 if g in (u - 1, u) else 0 for g in range(n)] for u in range(n)]
+        doc = {"kind": "goods", "agents": n, "items": n, "quantiles": ["1/1"] * n, "values": values}
+        inst_file = write_json(tmp_path / "chain.json", doc)
+        capsys.readouterr()
+        assert main(["solve", "-i", inst_file, "--objective", "esw", "--algorithm", "tau1"]) == 0
+        assert json.loads(capsys.readouterr().out)["welfare"] == 1
+
 
 class TestSolveCheckRoundTrip:
     @pytest.mark.parametrize(

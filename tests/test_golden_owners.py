@@ -1,9 +1,11 @@
-"""Golden owner vectors for the exact egalitarian solvers.
+"""Golden owner vectors for the exact egalitarian and utilitarian solvers.
 
 The oracle tests check welfare only; these pin the exact allocation each
-solver returns on seeded non-binary instances, so a refactor of the
-threshold search or the matching deciders must keep every allocation
-edge for edge, not just its welfare.
+solver returns on seeded instances, so a refactor of the threshold search,
+the matching deciders or the weighted matcher must keep every allocation
+edge for edge, not just its welfare.  The utilitarian cases lean on ties
+(values 0-2, binary values, all-zero rows), where only the matcher's
+tie-break decides the allocation.
 """
 
 from __future__ import annotations
@@ -53,7 +55,8 @@ SEEDED = [
 ]
 
 # Hand-built instances for the paths seeded draws rarely reach: no feasible
-# positive level (the fallbacks) and optimists without a costless chore.
+# positive level (the fallbacks), optimists without a costless chore, and
+# utilitarian instances where most matchings tie.
 _ROWS = [[3, 5, 2, 7], [4, 1, 6, 2], [5, 5, 3, 1]]
 HAND = [
     ("balanced_esw", goods(["0/1", "0/1"], [[0, 3, 0, 0], [0, 0, 0, 2]]), 0, (0, 0, 1, 1)),
@@ -61,6 +64,17 @@ HAND = [
     ("identical_unbalanced_esw", goods(["1/2"] * 3, [[0, 3, 0, 0]] * 3), 0, (0, 0, 0, 0)),
     ("esc_tau0", chores(["0/1"] * 3, _ROWS), 3, (0, 1, 0, 1)),
     ("esc_tau1", chores(["1/1"] * 3, _ROWS), 1, (1, 1, 1, 1)),
+    # Utilitarian ties: binary values, values 0-2 and all-zero rows.
+    ("optimistic_exact_usw",
+     goods(["1/1", "0/1", "1/2"], [[1, 1, 0, 1], [1, 1, 1, 0], [0, 0, 0, 0]]), 2, (0, 1, 2, 0)),
+    ("optimistic_exact_usw", goods(["1/2", "1/1"], [[0, 0, 0], [0, 0, 0]]), 0, (0, 1, 1)),
+    ("optimistic_exact_usw",
+     goods(["1/1"] * 3, [[2, 1, 2, 0, 1], [2, 2, 1, 1, 0], [1, 2, 2, 0, 2]]), 6, (0, 1, 2, 0, 0)),
+    ("scapegoat_usw",
+     goods(["1/2"] * 3, [[2, 2, 1, 0, 2], [2, 2, 2, 2, 0], [0, 0, 0, 0, 0]]), 4, (0, 2, 1, 1, 1)),
+    ("scapegoat_usw",
+     goods(["0/1", "1/1", "1/3"], [[1, 0, 1, 1], [1, 1, 0, 0], [1, 1, 1, 1]]), 3, (1, 2, 0, 0)),
+    ("scapegoat_usw", goods(["1/1", "0/1"], [[0, 0, 0, 0], [0, 0, 0, 0]]), 0, (1, 0, 0, 0)),
 ]
 
 
@@ -90,3 +104,44 @@ def test_hand_owner(solver, instance, welfare, owner):
     assert report.allocation.owner == owner
     assert report.welfare == welfare
     assert report.algorithm == solver
+
+
+# (solver, quantiles, n, m, generate_instance seed, max value, welfare, owner)
+USW_SEEDED = [
+    ("optimistic_exact_usw", ["1/1", "1/2", "0/1"], 3, 9, 21, 9, 25,
+     (1, 0, 0, 0, 0, 0, 2, 0, 0)),
+    ("optimistic_exact_usw", ["1/3", "1/1", "2/3", "1/1"], 4, 12, 22, 9, 35,
+     (1, 1, 3, 0, 1, 2, 1, 1, 1, 1, 1, 1)),
+    ("optimistic_exact_usw", ["1/1"] * 5, 5, 20, 23, 2, 10,
+     (3, 1, 0, 0, 0, 2, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)),
+    ("optimistic_exact_usw", ["0/1", "1/1", "3/4"], 3, 14, 24, 1, 3,
+     (0, 1, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1)),
+    ("optimistic_exact_usw", ["1/1", "1/5", "2/5", "1/2"], 4, 3, 25, 2, 4,
+     (0, 1, 3)),
+    ("scapegoat_usw", ["0/1", "1/2", "1/1"], 3, 9, 26, 9, 27,
+     (1, 2, 2, 0, 2, 2, 2, 2, 2)),
+    ("scapegoat_usw", ["1/3", "2/3", "3/4", "1/5"], 4, 16, 27, 9, 31,
+     (1, 2, 1, 1, 3, 1, 1, 0, 1, 1, 1, 1, 1, 1, 1, 1)),
+    ("scapegoat_usw", ["2/5"] * 5, 5, 20, 28, 2, 9,
+     (1, 0, 1, 1, 1, 2, 1, 4, 3, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1)),
+    ("scapegoat_usw", ["1/2"] * 3, 3, 12, 29, 1, 3,
+     (2, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1)),
+    ("scapegoat_usw", ["0/1", "1/1", "1/3", "1/2"], 4, 3, 30, 2, 6,
+     (0, 1, 3)),
+]
+
+
+@pytest.mark.parametrize(
+    "solver,taus,n,m,seed,top,welfare,owner",
+    USW_SEEDED,
+    ids=[f"{case[0]}-seed{case[4]}" for case in USW_SEEDED],
+)
+def test_usw_seeded_owner(solver, taus, n, m, seed, top, welfare, owner):
+    instance = generate_instance(
+        n, m, [Quantile.parse(t) for t in taus], "goods", max_value=top, seed=seed
+    )
+    report = getattr(quantile_alloc, solver)(instance)
+    assert report.allocation.owner == owner
+    assert report.welfare == welfare
+    assert report.algorithm == solver
+

@@ -149,6 +149,40 @@ class TestAgainstOracle:
             graph = random_bipartite(rng)
             assert max_weight_bipartite(graph).weight == brute_matching(graph, weighted=True).weight
 
+    @pytest.mark.parametrize("max_weight", [0, 1, 4, 20])
+    def test_bipartite_tie_break_matches_brute_force(self, max_weight):
+        # The engine meets the lexicographic preference through its optimal
+        # duals; the oracle compares edge sequences directly.  Edge order is
+        # shuffled so that index order and vertex order disagree.
+        rng = random.Random(654 + max_weight)
+        for _ in range(250):
+            base = random_bipartite(rng, max_weight=max_weight)
+            edges = list(base.edges)
+            rng.shuffle(edges)
+            graph = Graph(base.num_vertices, tuple(edges), base.bipartition)
+            assert max_weight_bipartite(graph).edges == brute_matching(graph, weighted=True).edges
+
+    def test_bipartite_matches_general_on_usw_graphs(self):
+        # Complete agent-by-item graphs as the utilitarian solvers build
+        # them, beyond the oracle's edge cap: the general route (perturbed
+        # blossom) is an independent second implementation of the tie-break.
+        rng = random.Random(987)
+        for n, m in [(1, 5), (2, 9), (3, 3), (4, 20), (6, 6), (7, 30), (10, 60), (12, 4)]:
+            for top in (1, 2, 1000):
+                rows = [[rng.randint(0, top) for _ in range(m)] for _ in range(n)]
+                rows[rng.randrange(n)] = [0] * m
+                graph = bipartite_graph(n, m, [(i, g, rows[i][g]) for i in range(n) for g in range(m)])
+                assert max_weight_bipartite(graph) == max_weight_general(graph)
+
+    def test_bipartite_huge_weights(self):
+        # Weights far above any fixed-width sentinel, with ties among them.
+        big = 2**70
+        edges = [(0, 0, big), (0, 1, big), (0, 2, 1), (1, 0, big), (1, 1, big), (2, 2, 2 * big)]
+        graph = bipartite_graph(3, 3, edges)
+        matching = max_weight_bipartite(graph)
+        assert matching.edges == ((0, 3, big), (1, 4, big), (2, 5, 2 * big))
+        assert matching == brute_matching(graph, weighted=True) == max_weight_general(graph)
+
     def test_cardinality_matches_brute_force(self):
         rng = random.Random(789)
         for _ in range(250):
@@ -157,6 +191,43 @@ class TestAgainstOracle:
                 max_cardinality_bipartite(graph).size
                 == brute_matching(graph, weighted=False).size
             )
+
+    def test_cardinality_matches_reference_kuhn(self):
+        # The matcher must return the very matching of the plain recursive
+        # Kuhn search (fresh visited set per left vertex, ascending order):
+        # the golden owner vectors of the egalitarian solvers depend on it.
+        def kuhn(graph):
+            left = graph.bipartition[0]
+            adj = {u: [] for u in sorted(left)}
+            for u, v, _ in graph.edges:
+                adj[u if u in left else v].append(v if u in left else u)
+            match_right = {}
+
+            def augment(u, visited):
+                for v in sorted(adj[u]):
+                    if v not in visited:
+                        visited.add(v)
+                        if v not in match_right or augment(match_right[v], visited):
+                            match_right[v] = u
+                            return True
+                return False
+
+            for u in adj:
+                augment(u, set())
+            return {(match_right[v], v) for v in match_right}
+
+        rng = random.Random(246)
+        for _ in range(300):
+            graph = random_bipartite(rng, max_side=9, max_edges=30)
+            if rng.random() < 0.5:  # edges written right vertex first
+                graph = Graph(
+                    graph.num_vertices,
+                    tuple((v, u, w) for u, v, w in graph.edges),
+                    graph.bipartition,
+                )
+            left = graph.bipartition[0]
+            fast = max_cardinality_bipartite(graph)
+            assert {(u, v) if u in left else (v, u) for u, v, _ in fast.edges} == kuhn(graph)
 
     def test_cardinality_equals_unit_weight_size(self):
         rng = random.Random(555)
