@@ -25,7 +25,6 @@ from .core import (
     InvalidInstanceError,
     Quantile,
     SolveReport,
-    WelfareValue,
     bundle_value,
     chores,
     demand_quota,
@@ -85,7 +84,6 @@ __all__ = [
     "Matching",
     "Quantile",
     "SolveReport",
-    "WelfareValue",
     "allocation_count",
     "balanced_esc",
     "balanced_esc_binary",

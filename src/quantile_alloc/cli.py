@@ -34,10 +34,11 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .chores_solvers import balanced_esc, esc_tau0, esc_tau1, usc_tau0_setcover
 from .core import (
+    OBJECTIVE_KIND,
     Allocation,
     Instance,
     IntractableQuantileError,
@@ -47,6 +48,7 @@ from .core import (
     esc,
     esw,
     make_instance,
+    require_objective_kind,
     usc,
     usw,
 )
@@ -59,20 +61,7 @@ from .usw_solvers import (
     scapegoat_usw,
 )
 
-OBJECTIVES = ("usw", "esw", "usc", "esc")
-ALGORITHMS = (
-    "auto",
-    "greedy",
-    "scapegoat",
-    "optimistic",
-    "matching",
-    "frac",
-    "third",
-    "tau0",
-    "tau1",
-    "setcover",
-    "identical",
-)
+OBJECTIVES = tuple(OBJECTIVE_KIND)
 
 _OBJECTIVE_FN = {"usw": usw, "esw": esw, "usc": usc, "esc": esc}
 
@@ -201,14 +190,59 @@ def _quantiles_from_args(args: argparse.Namespace) -> list[Quantile]:
 # ---------------------------------------------------------------- dispatch
 
 
-_BALANCED_ONLY = {"greedy", "matching"}
-_UNBALANCED_ONLY = {"scapegoat", "optimistic", "frac", "third", "tau0", "tau1", "setcover", "identical"}
+Solver = Callable[[Instance], SolveReport]
+
+
+def _routes() -> dict[str, tuple[bool, dict[str, Solver]]]:
+    """The routing table: each explicit ``--algorithm`` name maps to whether
+    it solves the balanced problem and to its solver for each objective.
+    Built per call from this module's bindings, so that a wrapper put over a
+    solver name here (a profiler's or tracer's) sees every routed call."""
+    return {
+        "greedy": (True, {"usw": greedy_balanced_usw}),
+        "scapegoat": (False, {"usw": scapegoat_usw}),
+        "optimistic": (False, {"usw": optimistic_exact_usw}),
+        "matching": (True, {"esw": balanced_esw, "esc": balanced_esc}),
+        "frac": (False, {"esw": unbalanced_esw}),
+        "third": (False, {"esw": unbalanced_esw}),
+        "tau0": (False, {"esw": unbalanced_esw, "esc": esc_tau0}),
+        "tau1": (False, {"esw": unbalanced_esw, "esc": esc_tau1}),
+        "setcover": (False, {"usc": usc_tau0_setcover}),
+        "identical": (
+            False,
+            {"usw": identical_binary_usw_unbalanced, "esw": identical_unbalanced_esw},
+        ),
+    }
+
+
+ALGORITHMS = ("auto", *_routes())
+
+
+def _auto_algorithm(instance: Instance, objective: str, balanced: bool) -> str:
+    """The routing-table name that ``--algorithm auto`` stands for."""
+    if balanced:
+        return "greedy" if objective == "usw" else "matching"
+    if objective == "usw":
+        return "optimistic" if any(q.is_one for q in instance.quantiles) else "scapegoat"
+    if objective == "usc":
+        return "setcover"
+    if objective == "esw":
+        # Any ESW family name would do: each runs unbalanced_esw, which picks
+        # the decider for the instance's quantile or refuses the quantile, and
+        # dispatch_solve checks the family of explicit names only.
+        return "frac"
+    tau = instance.homogeneous_quantile()
+    if tau is None or not (tau.is_zero or tau.is_one):
+        raise IntractableQuantileError(
+            "unbalanced egalitarian cost is only supported for quantiles 0 and 1"
+        )
+    return "tau0" if tau.is_zero else "tau1"
 
 
 def dispatch_solve(
     instance: Instance, objective: str, balanced: bool, algorithm: str
 ) -> SolveReport:
-    """Route a solve request to the matching solver; raise
+    """Route a solve request through the routing table; raise
     UnsupportedRequestError / IntractableQuantileError when no algorithm
     covers the combination.
 
@@ -216,82 +250,29 @@ def dispatch_solve(
     need --balanced, unbalanced-only ones reject it.  This keeps reported
     guarantees comparable to the optimum over the same space.
     """
-    if algorithm in _UNBALANCED_ONLY and balanced:
+    require_objective_kind(instance, objective)
+    routes = _routes()
+    if algorithm != "auto" and routes[algorithm][0] != balanced:
+        space, flag = ("unbalanced", "drop") if balanced else ("balanced", "pass")
         raise UnsupportedRequestError(
-            f"algorithm '{algorithm}' solves the unbalanced problem; drop --balanced"
+            f"algorithm '{algorithm}' solves the {space} problem; {flag} --balanced"
         )
-    if algorithm in _BALANCED_ONLY and not balanced:
+    name = _auto_algorithm(instance, objective, balanced) if algorithm == "auto" else algorithm
+    solver = routes[name][1].get(objective)
+    if solver is None:
+        if objective == "usc" and balanced:
+            raise UnsupportedRequestError("no supported algorithm for balanced utilitarian cost")
         raise UnsupportedRequestError(
-            f"algorithm '{algorithm}' solves the balanced problem; pass --balanced"
+            f"algorithm '{algorithm}' does not apply to objective {objective}"
+            f"{' (balanced)' if balanced else ''}"
         )
-    if objective == "usw":
-        if algorithm == "auto":
-            if balanced:
-                algorithm = "greedy"
-            elif any(q.is_one for q in instance.quantiles):
-                algorithm = "optimistic"
-            else:
-                algorithm = "scapegoat"
-        if algorithm == "greedy":
-            return greedy_balanced_usw(instance)
-        if algorithm == "scapegoat":
-            return scapegoat_usw(instance)
-        if algorithm == "optimistic":
-            return optimistic_exact_usw(instance)
-        if algorithm == "identical":
-            return identical_binary_usw_unbalanced(instance)
-
-    elif objective == "esw":
-        if algorithm == "auto":
-            algorithm = "matching" if balanced else "dispatch"
-        if algorithm == "matching":
-            return balanced_esw(instance)
-        if algorithm == "identical":
-            return identical_unbalanced_esw(instance)
-        if algorithm in ("frac", "third", "tau0", "tau1", "dispatch"):
-            tau = instance.homogeneous_quantile()
-            if tau is None:
-                raise IntractableQuantileError(
-                    "heterogeneous quantiles are not supported for unbalanced egalitarian welfare"
-                )
-            family = esw_family(tau)
-            if algorithm != "dispatch" and family != algorithm:
-                raise IntractableQuantileError(
-                    f"quantile mismatch: instance quantile {tau} is not handled by '{algorithm}'"
-                )
-            return unbalanced_esw(instance)
-
-    elif objective == "usc":
-        if balanced:
-            raise UnsupportedRequestError(
-                "no supported algorithm for balanced utilitarian cost"
+    if solver is unbalanced_esw and algorithm != "auto":
+        tau = instance.homogeneous_quantile()
+        if tau is not None and esw_family(tau) != algorithm:
+            raise IntractableQuantileError(
+                f"quantile mismatch: instance quantile {tau} is not handled by '{algorithm}'"
             )
-        if algorithm in ("auto", "setcover"):
-            return usc_tau0_setcover(instance)
-
-    elif objective == "esc":
-        if balanced and algorithm in ("auto", "matching"):
-            return balanced_esc(instance)
-        if not balanced:
-            if algorithm == "auto":
-                tau = instance.homogeneous_quantile()
-                if tau is not None and tau.is_zero:
-                    algorithm = "tau0"
-                elif tau is not None and tau.is_one:
-                    algorithm = "tau1"
-                else:
-                    raise IntractableQuantileError(
-                        "unbalanced egalitarian cost is only supported for quantiles 0 and 1"
-                    )
-            if algorithm == "tau0":
-                return esc_tau0(instance)
-            if algorithm == "tau1":
-                return esc_tau1(instance)
-
-    raise UnsupportedRequestError(
-        f"algorithm '{algorithm}' does not apply to objective {objective}"
-        f"{' (balanced)' if balanced else ''}"
-    )
+    return solver(instance)
 
 
 # ---------------------------------------------------------------- commands

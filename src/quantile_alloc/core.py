@@ -21,11 +21,12 @@ from typing import Iterable, Literal, Sequence, TypeAlias
 
 Kind: TypeAlias = Literal["goods", "chores"]
 
-#: Welfare values are plain signed integers: welfare for goods, cost for chores.
-WelfareValue: TypeAlias = int
-
 GOODS: Kind = "goods"
 CHORES: Kind = "chores"
+
+#: The instance kind each objective is defined on: welfare (usw, esw) for
+#: goods, cost (usc, esc) for chores.
+OBJECTIVE_KIND: dict[str, Kind] = {"usw": GOODS, "esw": GOODS, "usc": CHORES, "esc": CHORES}
 
 
 class InvalidInstanceError(ValueError):
@@ -154,15 +155,8 @@ class Instance:
         return len(self.values[0])
 
     @property
-    def is_goods(self) -> bool:
-        return self.kind == GOODS
-
-    @property
     def is_binary(self) -> bool:
         return all(entry in (0, 1) for row in self.values for entry in row)
-
-    def value(self, agent: int, item: int) -> int:
-        return self.values[agent][item]
 
     def homogeneous_quantile(self) -> Quantile | None:
         """The shared quantile if all agents agree, else None."""
@@ -266,6 +260,14 @@ def bundle_value(instance: Instance, agent: int, bundle: Iterable[int]) -> int:
     return vals[s - idx]
 
 
+def require_objective_kind(instance: Instance, objective: str) -> None:
+    """Refuse an objective that is not defined on the instance's kind."""
+    if instance.kind != OBJECTIVE_KIND[objective]:
+        raise InvalidInstanceError(
+            f"objective {objective} does not apply to a {instance.kind} instance"
+        )
+
+
 def _check_allocation(instance: Instance, allocation: Allocation) -> list[list[int]]:
     if allocation.m != instance.m:
         raise InvalidInstanceError(
@@ -276,32 +278,28 @@ def _check_allocation(instance: Instance, allocation: Allocation) -> list[list[i
 
 def usw(instance: Instance, allocation: Allocation) -> int:
     """Utilitarian social welfare: sum of the agents' bundle values (goods only)."""
-    if instance.kind != GOODS:
-        raise InvalidInstanceError("usw is defined for goods instances")
+    require_objective_kind(instance, "usw")
     bundles = _check_allocation(instance, allocation)
     return sum(bundle_value(instance, i, b) for i, b in enumerate(bundles))
 
 
 def esw(instance: Instance, allocation: Allocation) -> int:
     """Egalitarian social welfare: minimum of the agents' bundle values (goods only)."""
-    if instance.kind != GOODS:
-        raise InvalidInstanceError("esw is defined for goods instances")
+    require_objective_kind(instance, "esw")
     bundles = _check_allocation(instance, allocation)
     return min(bundle_value(instance, i, b) for i, b in enumerate(bundles))
 
 
 def usc(instance: Instance, allocation: Allocation) -> int:
     """Utilitarian social cost: sum of bundle disutilities (chores only)."""
-    if instance.kind != CHORES:
-        raise InvalidInstanceError("usc is defined for chores instances")
+    require_objective_kind(instance, "usc")
     bundles = _check_allocation(instance, allocation)
     return sum(bundle_value(instance, i, b) for i, b in enumerate(bundles))
 
 
 def esc(instance: Instance, allocation: Allocation) -> int:
     """Egalitarian social cost: maximum bundle disutility; empty bundles cost 0."""
-    if instance.kind != CHORES:
-        raise InvalidInstanceError("esc is defined for chores instances")
+    require_objective_kind(instance, "esc")
     bundles = _check_allocation(instance, allocation)
     return max(bundle_value(instance, i, b) for i, b in enumerate(bundles))
 

@@ -14,18 +14,16 @@ from itertools import combinations, product
 from typing import Iterator, Literal
 
 from .core import (
-    CHORES,
-    GOODS,
     Allocation,
     Instance,
     InvalidInstanceError,
     bundle_value,
+    require_objective_kind,
 )
 from .matching import Graph, Matching
 
 Objective = Literal["usw", "esw", "usc", "esc"]
 
-_OBJECTIVE_KIND = {"usw": GOODS, "esw": GOODS, "usc": CHORES, "esc": CHORES}
 _MAXIMIZING = {"usw": True, "esw": True, "usc": False, "esc": False}
 
 
@@ -97,10 +95,7 @@ def enumerate_allocations(
 
 def evaluate(instance: Instance, objective: Objective, allocation: Allocation) -> int:
     """Objective value of one allocation (sum or min/max of bundle values)."""
-    if instance.kind != _OBJECTIVE_KIND[objective]:
-        raise InvalidInstanceError(
-            f"objective {objective} does not apply to a {instance.kind} instance"
-        )
+    require_objective_kind(instance, objective)
     bundles = allocation.bundles(instance.n)
     per_agent = [bundle_value(instance, i, b) for i, b in enumerate(bundles)]
     if objective == "usw" or objective == "usc":
@@ -121,10 +116,7 @@ def opt_welfare(
     Welfare objectives (usw, esw) are maximized; cost objectives (usc, esc)
     are minimized.
     """
-    if instance.kind != _OBJECTIVE_KIND[objective]:
-        raise InvalidInstanceError(
-            f"objective {objective} does not apply to a {instance.kind} instance"
-        )
+    require_objective_kind(instance, objective)
     maximize = _MAXIMIZING[objective]
     best_value: int | None = None
     best_alloc: Allocation | None = None

@@ -7,10 +7,11 @@ Four routes, by regime:
   down their eventual bundle value; the agent whose guaranteed value is
   highest wins the round.  Approximation factor min(m/n + 1, n), and exactly
   optimal when all agents share one valuation row.
-* ``scapegoat_usw`` -- unbalanced, any quantiles, n >= 2.  Tries each agent as
-  the "scapegoat" who absorbs everything unmatched by a one-item-per-agent
+* ``scapegoat_usw`` -- unbalanced, any quantiles.  Tries each agent as the
+  "scapegoat" who absorbs everything unmatched by a one-item-per-agent
   maximum-weight matching among the others; keeps the best candidate.
-  Approximation factor 1 + 1/(n-1).
+  Approximation factor 1 + 1/(n-1); a lone agent takes every item, the only
+  allocation there is.
 * ``optimistic_exact_usw`` -- unbalanced, exact, requires one agent with
   quantile 1: that agent can absorb all leftovers without losing value.
 * ``identical_binary_usw_unbalanced`` -- unbalanced, exact for identical
@@ -109,8 +110,6 @@ def scapegoat_usw(instance: Instance) -> SolveReport:
     go to the lowest scapegoat index.
     """
     _require_goods(instance)
-    if instance.n < 2:
-        raise InvalidInstanceError("scapegoat solver needs at least two agents")
     best: SolveReport | None = None
     for scapegoat in range(instance.n):
         others = [j for j in range(instance.n) if j != scapegoat]

@@ -110,9 +110,13 @@ class TestScapegoat:
         inst = goods(["1/2", "1/2"], [[0, 0], [0, 0]])
         assert scapegoat_usw(inst).welfare == 0
 
-    def test_needs_two_agents(self):
-        with pytest.raises(InvalidInstanceError):
-            scapegoat_usw(goods(["1/2"], [[1]]))
+    def test_one_agent_takes_every_item(self):
+        # A lone scapegoat absorbs everything: the only allocation, so optimal.
+        for tau, row in (("1/2", [2, 0, 3]), ("0/1", [5, 1, 4, 2]), ("1/3", [0, 0])):
+            inst = goods([tau], [row])
+            report = scapegoat_usw(inst)
+            assert report.allocation.owner == (0,) * len(row)
+            assert report.welfare == opt_welfare(inst, "usw")[0]
 
     def test_guarantee_against_oracle(self):
         rng = random.Random(44)
