@@ -9,7 +9,6 @@ brute-force oracle for desk-scale certification, and the ``qalloc`` CLI.
 """
 
 from .chores_solvers import (
-    CoverCandidate,
     balanced_esc,
     balanced_esc_binary,
     esc_tau0,
@@ -74,7 +73,6 @@ __all__ = [
     "Allocation",
     "BudgetExceededError",
     "CHORES",
-    "CoverCandidate",
     "EnumerationBudget",
     "GOODS",
     "Graph",

@@ -22,70 +22,32 @@ only; no solver relies on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ._construct import all_to_first, owner_from_bundles
 from ._threshold import copies_decider, threshold_search
 from .core import (
-    CHORES,
     Instance,
     IntractableQuantileError,
-    InvalidInstanceError,
     SolveReport,
     esc,
+    require_objective_kind,
     usc,
 )
-
-
-def _require_chores(instance: Instance) -> None:
-    if instance.kind != CHORES:
-        raise InvalidInstanceError("chores solvers require a chores instance")
 
 
 def balanced_esc_binary(instance: Instance) -> SolveReport:
     """Decide whether a balanced allocation can give every agent cost 0, by
     the copies-to-items matching of the balanced goods decision with copies
     connected to the chores the agent finds costless."""
-    _require_chores(instance)
+    require_objective_kind(instance, "esc")
     return copies_decider(instance)
 
 
 def balanced_esc(instance: Instance) -> SolveReport:
     """Exact minimum egalitarian cost over balanced allocations, any
     quantiles, via threshold search over the matching decision."""
-    _require_chores(instance)
+    require_objective_kind(instance, "esc")
     instance.items_per_agent()
     return threshold_search(instance, balanced_esc_binary, "balanced_esc", balanced=True)
-
-
-@dataclass(frozen=True)
-class CoverCandidate:
-    """One agent's cheapest ``length`` chores (ties by item index); its weight
-    is that agent's quantile-0 disutility for holding exactly those chores,
-    i.e. the length-th lowest disutility in their row."""
-
-    agent: int
-    length: int
-    items: tuple[int, ...]
-    weight: int
-
-
-def cover_candidates(instance: Instance) -> list[CoverCandidate]:
-    out: list[CoverCandidate] = []
-    for i in range(instance.n):
-        row = instance.values[i]
-        ranked = sorted(range(instance.m), key=lambda g: (row[g], g))
-        for length in range(1, instance.m + 1):
-            prefix = ranked[:length]
-            out.append(
-                CoverCandidate(
-                    agent=i,
-                    length=length,
-                    items=tuple(sorted(prefix)),
-                    weight=row[ranked[length - 1]],
-                )
-            )
-    return out
 
 
 def usc_tau0_setcover(instance: Instance) -> SolveReport:
@@ -93,37 +55,45 @@ def usc_tau0_setcover(instance: Instance) -> SolveReport:
     utilitarian cost at most H_m = 1 + 1/2 + ... + 1/m (<= ln m + 1) times
     the optimum (Chvatal 1979).
 
-    Candidates are per-agent cheapest-prefix sets.  The greedy loop picks the
-    candidate minimizing weight / newly-covered (exact rational comparison,
-    ties by agent then prefix length), and every newly covered chore is owned
-    by that pick's agent, so an agent's final bundle sits inside their
-    largest chosen prefix and costs at most its weight.
+    Candidates are per-agent cheapest-prefix sets: agent i's prefix of length
+    L holds their L lowest-disutility chores (ties by item index) and weighs
+    the L-th lowest disutility.  The greedy loop picks the candidate
+    minimizing weight / newly-covered (exact rational comparison, ties by
+    agent then prefix length), and every newly covered chore is owned by that
+    pick's agent, so an agent's final bundle sits inside their largest chosen
+    prefix and costs at most its weight.  One agent's prefixes are nested, so
+    one pass down their ranking prices all of them.
     """
-    _require_chores(instance)
+    require_objective_kind(instance, "usc")
     if any(not q.is_zero for q in instance.quantiles):
         raise IntractableQuantileError(
             "quantile mismatch: the set-cover route requires all quantiles 0"
         )
     n, m = instance.n, instance.m
-    candidates = cover_candidates(instance)
+    rankings = [sorted(range(m), key=lambda g: (row[g], g)) for row in instance.values]
 
     owner = [-1] * m
-    uncovered = set(range(m))
+    uncovered = m
     while uncovered:
-        best: CoverCandidate | None = None
-        best_new = 0
-        for cand in candidates:
-            new = sum(1 for g in cand.items if g in uncovered)
-            if new == 0:
-                continue
-            # weight/new < best.weight/best_new, compared in integers.
-            if best is None or cand.weight * best_new < best.weight * new:
-                best, best_new = cand, new
-        assert best is not None
-        for g in best.items:
-            if g in uncovered:
-                owner[g] = best.agent
-                uncovered.discard(g)
+        # Scan every agent's prefixes in (agent, length) order, counting the
+        # uncovered chores along the ranking; the prefix ending at chore g
+        # weighs row[g].
+        best_agent, best_length, best_weight, best_new = -1, 0, 0, 0
+        for i, ranked in enumerate(rankings):
+            row = instance.values[i]
+            new = 0
+            for length, g in enumerate(ranked, 1):
+                if owner[g] == -1:
+                    new += 1
+                if new == 0:
+                    continue
+                # row[g]/new < best_weight/best_new, compared in integers.
+                if best_new == 0 or row[g] * best_new < best_weight * new:
+                    best_agent, best_length, best_weight, best_new = i, length, row[g], new
+        for g in rankings[best_agent][:best_length]:
+            if owner[g] == -1:
+                owner[g] = best_agent
+        uncovered -= best_new
 
     allocation = owner_from_bundles(
         [[g for g in range(m) if owner[g] == i] for i in range(n)], m
@@ -169,7 +139,7 @@ def _esc_tau1_binary(instance: Instance) -> SolveReport:
 def esc_tau0(instance: Instance) -> SolveReport:
     """Exact minimum egalitarian cost when all quantiles are 0 (worst-chore
     scoring), for general integer disutilities via threshold search."""
-    _require_chores(instance)
+    require_objective_kind(instance, "esc")
     if any(not q.is_zero for q in instance.quantiles):
         raise IntractableQuantileError("quantile mismatch: solver requires quantile 0")
     return threshold_search(instance, _esc_tau0_binary, "esc_tau0", balanced=False)
@@ -178,7 +148,7 @@ def esc_tau0(instance: Instance) -> SolveReport:
 def esc_tau1(instance: Instance) -> SolveReport:
     """Exact minimum egalitarian cost when all quantiles are 1 (best-chore
     scoring), for general integer disutilities via threshold search."""
-    _require_chores(instance)
+    require_objective_kind(instance, "esc")
     if any(not q.is_one for q in instance.quantiles):
         raise IntractableQuantileError("quantile mismatch: solver requires quantile 1")
     return threshold_search(instance, _esc_tau1_binary, "esc_tau1", balanced=False)

@@ -19,20 +19,15 @@ from __future__ import annotations
 from ._construct import all_to_first, owner_from_bundles
 from ._threshold import BinaryDecider, copies_decider, threshold_search
 from .core import (
-    GOODS,
     Instance,
     IntractableQuantileError,
     InvalidInstanceError,
     Quantile,
     SolveReport,
     esw,
+    require_objective_kind,
 )
 from .matching import Graph, bipartite_graph, max_cardinality_bipartite, max_weight_general
-
-
-def _require_goods(instance: Instance) -> None:
-    if instance.kind != GOODS:
-        raise InvalidInstanceError("egalitarian-welfare solvers require a goods instance")
 
 
 def _require_binary(instance: Instance) -> None:
@@ -64,14 +59,14 @@ def balanced_esw_binary(instance: Instance) -> SolveReport:
     """Decide whether a balanced allocation can give every agent value 1, by
     the copies-to-items matching: each agent's copies are matched to distinct
     items the agent values 1."""
-    _require_goods(instance)
+    require_objective_kind(instance, "esw")
     return copies_decider(instance)
 
 
 def balanced_esw(instance: Instance) -> SolveReport:
     """Exact maximum egalitarian welfare over balanced allocations, for any
     quantiles, via threshold search over the matching decision."""
-    _require_goods(instance)
+    require_objective_kind(instance, "esw")
     instance.items_per_agent()
     return threshold_search(instance, balanced_esw_binary, "balanced_esw", balanced=True)
 
@@ -109,7 +104,7 @@ def unbalanced_esw_binary_frac(instance: Instance, t: int) -> SolveReport:
     Feasible iff an agent-saturating matching exists and
     |M_0| <= t*|M_1| - n.
     """
-    _require_goods(instance)
+    require_objective_kind(instance, "esw")
     _require_binary(instance)
     if t < 1:
         raise InvalidInstanceError("t must be a positive integer")
@@ -167,7 +162,7 @@ def unbalanced_esw_binary_third(instance: Instance) -> SolveReport:
     some agent values both endpoints) form the offset pairs.  Feasible iff
     the matching weight reaches |M_0| + n * (|vertices| + 1).
     """
-    _require_goods(instance)
+    require_objective_kind(instance, "esw")
     _require_binary(instance)
     if any(q != Quantile(1, 3) for q in instance.quantiles):
         raise IntractableQuantileError(
@@ -225,7 +220,7 @@ def unbalanced_esw_binary_tau0(instance: Instance) -> SolveReport:
     """Quantile 0 (pessimists): every bundle must be non-empty and all-ones,
     so feasibility needs no universally-worthless item plus an
     agent-saturating matching."""
-    _require_goods(instance)
+    require_objective_kind(instance, "esw")
     _require_binary(instance)
     if any(not q.is_zero for q in instance.quantiles):
         raise IntractableQuantileError("quantile mismatch: solver requires quantile 0")
@@ -246,7 +241,7 @@ def unbalanced_esw_binary_tau0(instance: Instance) -> SolveReport:
 def unbalanced_esw_binary_tau1(instance: Instance) -> SolveReport:
     """Quantile 1 (optimists): each agent just needs one 1-item somewhere in
     their bundle; leftovers can go anywhere (a max never drops)."""
-    _require_goods(instance)
+    require_objective_kind(instance, "esw")
     _require_binary(instance)
     if any(not q.is_one for q in instance.quantiles):
         raise IntractableQuantileError("quantile mismatch: solver requires quantile 1")
@@ -300,7 +295,7 @@ def unbalanced_esw(instance: Instance) -> SolveReport:
     """Exact maximum egalitarian welfare over all allocations, for homogeneous
     quantiles in the tractable family; threshold search over the family's
     binary decider."""
-    _require_goods(instance)
+    require_objective_kind(instance, "esw")
     tau = instance.homogeneous_quantile()
     if tau is None:
         raise IntractableQuantileError(
@@ -388,16 +383,14 @@ def identical_unbalanced_esw(instance: Instance) -> SolveReport:
     """Exact maximum egalitarian welfare for identical valuations (shared row
     and quantile), any quantile in [0, 1].
 
-    Binary instances are decided directly; general values go through the
-    usual threshold search over the binary decision.
+    General values go through the usual threshold search over the binary
+    decision; a binary instance is its own level-1 probe.
     """
-    _require_goods(instance)
+    require_objective_kind(instance, "esw")
     if not instance.has_identical_rows():
         raise InvalidInstanceError("value rows are not identical")
     if instance.homogeneous_quantile() is None:
         raise InvalidInstanceError("quantiles are not identical")
-    if instance.is_binary:
-        return _identical_binary_esw(instance)
     return threshold_search(
         instance, _identical_binary_esw, "identical_unbalanced_esw", balanced=False
     )

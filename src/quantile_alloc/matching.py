@@ -40,13 +40,14 @@ Edge = tuple[int, int, int]
 class Graph:
     """An undirected graph with non-negative integer edge weights.
 
-    ``bipartition``, when present, is a (left, right) partition of all
-    vertices that every edge must cross; the bipartite routines require it.
+    ``num_left``, when present, splits the vertices into a left side
+    0..num_left-1 and a right side num_left..num_vertices-1 that every edge
+    must cross; the bipartite routines require it.
     """
 
     num_vertices: int
     edges: tuple[Edge, ...]
-    bipartition: tuple[frozenset[int], frozenset[int]] | None = None
+    num_left: int | None = None
 
     def __post_init__(self) -> None:
         if self.num_vertices < 1:
@@ -63,12 +64,11 @@ class Graph:
             if key in seen:
                 raise ValueError(f"duplicate edge between {u} and {v}")
             seen.add(key)
-        if self.bipartition is not None:
-            left, right = self.bipartition
-            if left & right or left | right != frozenset(range(self.num_vertices)):
-                raise ValueError("bipartition must partition the vertex set")
+        if self.num_left is not None:
+            if not 0 <= self.num_left <= self.num_vertices:
+                raise ValueError(f"num_left {self.num_left} outside 0..{self.num_vertices}")
             for u, v, _ in self.edges:
-                if (u in left) == (v in left):
+                if (u < self.num_left) == (v < self.num_left):
                     raise ValueError(f"edge ({u}, {v}) does not cross the bipartition")
 
 
@@ -76,14 +76,7 @@ def bipartite_graph(num_left: int, num_right: int, edges: Iterable[tuple[int, in
     """Convenience constructor: left vertices 0..num_left-1, right vertex j
     becomes num_left + j, edges given as (left_index, right_index, weight)."""
     shifted = tuple((u, num_left + v, w) for u, v, w in edges)
-    return Graph(
-        num_vertices=num_left + num_right,
-        edges=shifted,
-        bipartition=(
-            frozenset(range(num_left)),
-            frozenset(range(num_left, num_left + num_right)),
-        ),
-    )
+    return Graph(num_vertices=num_left + num_right, edges=shifted, num_left=num_left)
 
 
 @dataclass(frozen=True)
@@ -116,10 +109,10 @@ class Matching:
         return out
 
 
-def _require_bipartition(graph: Graph) -> tuple[frozenset[int], frozenset[int]]:
-    if graph.bipartition is None:
+def _require_bipartition(graph: Graph) -> int:
+    if graph.num_left is None:
         raise ValueError("graph is not bipartite-annotated")
-    return graph.bipartition
+    return graph.num_left
 
 
 def max_cardinality_bipartite(graph: Graph) -> Matching:
@@ -130,15 +123,15 @@ def max_cardinality_bipartite(graph: Graph) -> Matching:
     search is a depth-first search on an explicit stack, so path length is
     not bounded by the interpreter's recursion limit.
     """
-    left, _ = _require_bipartition(graph)
-    adj: dict[int, list[int]] = {u: [] for u in sorted(left)}
+    num_left = _require_bipartition(graph)
+    adj: list[list[int]] = [[] for _ in range(num_left)]
     for u, v, _ in graph.edges:
-        if u in left:
+        if u < num_left:
             adj[u].append(v)
         else:
             adj[v].append(u)
-    for u in adj:
-        adj[u].sort()
+    for nbrs in adj:
+        nbrs.sort()
 
     # match_right[v]: left mate of right vertex v, or -1.  seen[v]: the last
     # epoch whose searches reached v.  A failed search changes nothing, and
@@ -173,7 +166,7 @@ def max_cardinality_bipartite(graph: Graph) -> Matching:
         return False
 
     epoch = 0
-    for root in adj:
+    for root in range(num_left):
         if try_augment(root, epoch):
             epoch += 1
 
@@ -283,38 +276,40 @@ def max_weight_bipartite(graph: Graph) -> Matching:
     Ties between equally heavy matchings go to the lexicographically smallest
     edge-index set; see the module docstring.
     """
-    left, right = _require_bipartition(graph)
+    num_left = _require_bipartition(graph)
     if not graph.edges:
         return Matching(())
-    row_side, col_side = (left, right) if len(left) <= len(right) else (right, left)
-    row_of = {v: i for i, v in enumerate(sorted(row_side))}
-    col_of = {v: j for j, v in enumerate(sorted(col_side))}
-    ends = [
-        (row_of[u], col_of[v]) if u in row_of else (row_of[v], col_of[u])
-        for u, v, _ in graph.edges
-    ]
+    # The smaller side is the rows (the left side on equal sizes); a left
+    # vertex keeps its number as index, a right vertex drops num_left.
+    num_right = graph.num_vertices - num_left
+    left_rows = num_left <= num_right
+    num_rows, num_cols = (num_left, num_right) if left_rows else (num_right, num_left)
+    ends = []
+    for u, v, _ in graph.edges:
+        a, b = (u, v - num_left) if u < num_left else (v, u - num_left)
+        ends.append((a, b) if left_rows else (b, a))
     # Missing edges weigh 0; the extra all-zero column keeps the row duals >= 0.
-    weight = [[0] * (len(col_of) + 1) for _ in row_of]
+    weight = [[0] * (num_cols + 1) for _ in range(num_rows)]
     for (i, j), (_, _, w) in zip(ends, graph.edges):
         weight[i][j] = w
     y, z, col_row = _hungarian(weight)
 
     # Complementary slackness: the maximum-weight matchings are exactly the
     # matchings of tight edges that cover every vertex of positive dual.
-    row_adj: list[list[int]] = [[] for _ in row_of]
-    col_adj: list[list[int]] = [[] for _ in col_of]
+    row_adj: list[list[int]] = [[] for _ in range(num_rows)]
+    col_adj: list[list[int]] = [[] for _ in range(num_cols)]
     for (i, j), (_, _, w) in zip(ends, graph.edges):
         if y[i] + z[j] == w:
             row_adj[i].append(j)
             col_adj[j].append(i)
     # One tight matching covering the positive-dual rows (a_*), one covering
     # the positive-dual columns (b_*); the optimal assignment does both.
-    a_row, a_col = [-1] * len(row_of), [-1] * len(col_of)
-    for j, i in enumerate(col_row[: len(col_of)]):
+    a_row, a_col = [-1] * num_rows, [-1] * num_cols
+    for j, i in enumerate(col_row[:num_cols]):
         if i != -1 and weight[i][j] > 0:
             a_row[i], a_col[j] = j, i
     b_row, b_col = list(a_row), list(a_col)
-    dead_row, dead_col = [False] * len(row_of), [False] * len(col_of)
+    dead_row, dead_col = [False] * num_rows, [False] * num_cols
 
     # Fix tight edges greedily in index order.  By Mendelsohn-Dulmage, some
     # maximum-weight matching holds every fixed edge exactly when both cover

@@ -22,21 +22,16 @@ from __future__ import annotations
 
 from ._construct import owner_from_bundles, round_robin_pad
 from .core import (
-    GOODS,
     Instance,
     IntractableQuantileError,
     InvalidInstanceError,
     SolveReport,
     demand_quota,
+    require_objective_kind,
     usw,
 )
 from .esw_solvers import identical_unbalanced_esw
 from .matching import bipartite_graph, max_weight_bipartite
-
-
-def _require_goods(instance: Instance) -> None:
-    if instance.kind != GOODS:
-        raise InvalidInstanceError("utilitarian-welfare solvers require a goods instance")
 
 
 def greedy_balanced_usw(instance: Instance) -> SolveReport:
@@ -47,7 +42,7 @@ def greedy_balanced_usw(instance: Instance) -> SolveReport:
     highest scores, and leftover items are padded round-robin by ascending
     agent index.
     """
-    _require_goods(instance)
+    require_objective_kind(instance, "usw")
     k = instance.items_per_agent()
     n = instance.n
     # Top items each agent must secure to pin down its k-item bundle value.
@@ -109,7 +104,7 @@ def scapegoat_usw(instance: Instance) -> SolveReport:
     for their large bundle, not a pessimistic bound; ties between candidates
     go to the lowest scapegoat index.
     """
-    _require_goods(instance)
+    require_objective_kind(instance, "usw")
     best: SolveReport | None = None
     for scapegoat in range(instance.n):
         others = [j for j in range(instance.n) if j != scapegoat]
@@ -130,7 +125,7 @@ def optimistic_exact_usw(instance: Instance) -> SolveReport:
     absorbs all unmatched items (their bundle value is a max, so absorbing
     can only help).
     """
-    _require_goods(instance)
+    require_objective_kind(instance, "usw")
     stars = [i for i, q in enumerate(instance.quantiles) if q.is_one]
     if not stars:
         raise IntractableQuantileError(
@@ -150,7 +145,7 @@ def identical_binary_usw_unbalanced(instance: Instance) -> SolveReport:
     singleton per available 1-item, with care that nobody mixes 1-items and
     0-items in a bundle that would kill the singleton values.
     """
-    _require_goods(instance)
+    require_objective_kind(instance, "usw")
     if not instance.has_identical_rows():
         raise InvalidInstanceError("value rows are not identical")
     if instance.homogeneous_quantile() is None:

@@ -24,7 +24,6 @@ from quantile_alloc import (
     usc,
     usc_tau0_setcover,
 )
-from quantile_alloc.chores_solvers import cover_candidates
 from quantile_alloc.core import quantile_index
 
 
@@ -80,13 +79,18 @@ class TestBalancedEsc:
 
 
 class TestSetCover:
-    def test_candidates_weights(self):
-        inst = chores(["0/1"], [[4, 2, 7]])
-        cands = cover_candidates(inst)
-        by_len = {c.length: c for c in cands}
-        assert by_len[1].items == (1,) and by_len[1].weight == 2
-        assert by_len[2].items == (0, 1) and by_len[2].weight == 4
-        assert by_len[3].items == (0, 1, 2) and by_len[3].weight == 7
+    def test_prefix_weight_is_lth_lowest(self):
+        # Agent 0 ranks chores 1, 0, 2 (prefix weights 2, 4, 7); agent 1
+        # ranks 2, 0, 1 (weights 3, 5, 9).  Round 1: agent 0's length-1
+        # prefix {1} at 2/1 beats every other ratio, and its length-2 tie at
+        # 4/2 loses to the earlier candidate.  Round 2, chores 0 and 2 left:
+        # agent 1's length-2 prefix {0, 2} at 5/2 beats agent 1's {2} at
+        # 3/1 and agent 0's {0, 1, 2} at 7/2.  Weighing a prefix by its sum
+        # or by the (L+1)-th disutility would pick differently.
+        inst = chores(["0/1", "0/1"], [[4, 2, 7], [5, 9, 3]])
+        report = usc_tau0_setcover(inst)
+        assert report.allocation == Allocation((1, 0, 1))
+        assert report.welfare == 2 + 5
 
     def test_worked_example(self):
         inst = chores(["0/1", "0/1"], [[1, 1, 9], [9, 9, 2]])

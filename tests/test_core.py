@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quantile_alloc
 from helpers import random_allocation, random_instance
 from quantile_alloc import (
     Allocation,
@@ -279,3 +280,36 @@ class TestValidation:
         inst = goods(["1/2"], [[1, 2]])
         with pytest.raises(InvalidInstanceError):
             usw(inst, Allocation((0,)))
+
+
+# Every public solver, with the objective it optimizes.
+SOLVER_OBJECTIVES = [
+    ("balanced_esw", "esw"),
+    ("balanced_esw_binary", "esw"),
+    ("unbalanced_esw", "esw"),
+    ("unbalanced_esw_binary_frac", "esw"),
+    ("unbalanced_esw_binary_third", "esw"),
+    ("unbalanced_esw_binary_tau0", "esw"),
+    ("unbalanced_esw_binary_tau1", "esw"),
+    ("identical_unbalanced_esw", "esw"),
+    ("greedy_balanced_usw", "usw"),
+    ("scapegoat_usw", "usw"),
+    ("optimistic_exact_usw", "usw"),
+    ("identical_binary_usw_unbalanced", "usw"),
+    ("balanced_esc", "esc"),
+    ("balanced_esc_binary", "esc"),
+    ("esc_tau0", "esc"),
+    ("esc_tau1", "esc"),
+    ("usc_tau0_setcover", "usc"),
+]
+
+
+@pytest.mark.parametrize("solver,objective", SOLVER_OBJECTIVES)
+def test_solver_refuses_the_other_kind(solver, objective):
+    # Library callers get the same message as the CLI's kind check.
+    wrong = "chores" if objective in ("usw", "esw") else "goods"
+    inst = quantile_alloc.make_instance(wrong, ["0/1", "0/1"], [[1, 0], [1, 0]])
+    extra = (1,) if solver == "unbalanced_esw_binary_frac" else ()
+    message = f"objective {objective} does not apply to a {wrong} instance"
+    with pytest.raises(InvalidInstanceError, match=f"^{message}$"):
+        getattr(quantile_alloc, solver)(inst, *extra)

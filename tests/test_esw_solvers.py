@@ -272,6 +272,16 @@ class TestIdentical:
         inst = goods(["1/2"] * 2, [[1, 1, 1, 0, 0]] * 2)
         assert identical_unbalanced_esw(inst).welfare == 0
 
+    def test_binary_report_is_feasible(self):
+        # An exact top-level solver reports feasible, whatever its welfare;
+        # the binary instance gives the same report as its scaled-up twin.
+        for top in (1, 3):
+            inst = goods(["1/2"] * 2, [[top, top, top, 0, 0]] * 2)
+            report = identical_unbalanced_esw(inst)
+            assert report.feasible
+            assert report.allocation == Allocation((0,) * 5)
+            assert report.welfare == 0
+
     def test_four_ones_two_zeros_feasible_at_half(self):
         inst = goods(["1/2"] * 2, [[1, 1, 1, 1, 0, 0]] * 2)
         assert identical_unbalanced_esw(inst).welfare == 1

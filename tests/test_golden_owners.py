@@ -145,3 +145,73 @@ def test_usw_seeded_owner(solver, taus, n, m, seed, top, welfare, owner):
     assert report.welfare == welfare
     assert report.algorithm == solver
 
+
+
+# (n, m, generate_instance seed, max value, cost, owner) for usc_tau0_setcover
+# at quantile 0.  The greedy pick order decides every owner, so these pin the
+# scan order and the strict ratio comparison, not just the cost.
+SETCOVER_SEEDED = [
+    (1, 12, 41, 9, 9,
+     (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)),
+    (2, 10, 42, 1, 1,
+     (0, 0, 1, 0, 0, 0, 0, 0, 0, 0)),
+    (2, 25, 43, 1000, 1233,
+     (0, 0, 0, 1, 0, 1, 1, 0, 1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 0, 0, 0, 1, 1, 0)),
+    (3, 15, 44, 2, 3,
+     (1, 0, 2, 2, 0, 0, 1, 0, 1, 0, 0, 0, 1, 0, 0)),
+    (3, 40, 45, 9, 13,
+     (0, 2, 1, 0, 2, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0,
+      0, 0, 2, 0, 2, 1, 0, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0)),
+    (4, 20, 46, 1, 1,
+     (0, 1, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 1, 2, 0, 0)),
+    (4, 36, 47, 1000, 1942,
+     (1, 1, 1, 1, 0, 1, 1, 1, 1, 0, 3, 1, 0, 1, 1, 1, 0, 1,
+      1, 0, 3, 3, 2, 3, 1, 1, 1, 0, 1, 1, 1, 1, 1, 0, 1, 1)),
+    (5, 30, 48, 2, 1,
+     (4, 2, 0, 1, 1, 3, 4, 4, 0, 2, 2, 0, 0, 3, 0,
+      3, 1, 0, 0, 2, 1, 4, 0, 0, 0, 0, 0, 4, 0, 0)),
+    (5, 40, 49, 9, 15,
+     (3, 2, 2, 0, 4, 4, 2, 0, 0, 4, 4, 4, 0, 3, 4, 2, 2, 3, 1, 2,
+      1, 0, 3, 4, 0, 4, 1, 2, 1, 3, 4, 4, 3, 0, 0, 3, 4, 4, 0, 3)),
+    (6, 24, 50, 1000, 1186,
+     (4, 4, 3, 2, 1, 4, 4, 5, 4, 5, 3, 4, 4, 1, 4, 5, 4, 1, 5, 4, 0, 5, 4, 0)),
+    (7, 40, 51, 2, 1,
+     (0, 3, 1, 0, 0, 0, 1, 5, 6, 1, 1, 6, 5, 1, 4, 2, 5, 1, 1, 1,
+      2, 5, 1, 6, 0, 0, 0, 1, 6, 0, 2, 1, 0, 5, 1, 1, 6, 2, 4, 0)),
+    (7, 33, 52, 1, 0,
+     (1, 0, 2, 1, 2, 0, 0, 0, 4, 0, 1, 1, 0, 0, 2, 3, 0,
+      0, 0, 0, 0, 1, 0, 2, 1, 2, 1, 0, 0, 1, 0, 2, 1)),
+]
+
+
+@pytest.mark.parametrize(
+    "n,m,seed,top,cost,owner",
+    SETCOVER_SEEDED,
+    ids=[f"usc_tau0_setcover-seed{case[2]}" for case in SETCOVER_SEEDED],
+)
+def test_setcover_seeded_owner(n, m, seed, top, cost, owner):
+    instance = generate_instance(
+        n, m, [Quantile.parse("0/1")] * n, "chores", max_value=top, seed=seed
+    )
+    report = quantile_alloc.usc_tau0_setcover(instance)
+    assert report.allocation.owner == owner
+    assert report.welfare == cost
+    assert report.algorithm == "usc_tau0_setcover"
+
+
+# Ties the seeded draws leave to chance: identical rows (every agent offers
+# the same prefixes, so the lowest agent index wins each round) and a zero
+# row (one agent covers everything at weight 0 in the first round).
+SETCOVER_HAND = [
+    (chores(["0/1"] * 3, [[2, 0, 1, 2, 0, 1]] * 3), 2, (0, 0, 0, 0, 0, 0)),
+    (chores(["0/1"] * 3, [[3, 1, 4, 1, 5], [0, 0, 0, 0, 0], [1, 1, 1, 1, 1]]), 0, (1, 1, 1, 1, 1)),
+]
+
+
+@pytest.mark.parametrize(
+    "instance,cost,owner", SETCOVER_HAND, ids=["equal-rows", "zero-row"]
+)
+def test_setcover_hand_owner(instance, cost, owner):
+    report = quantile_alloc.usc_tau0_setcover(instance)
+    assert report.allocation.owner == owner
+    assert report.welfare == cost

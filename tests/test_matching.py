@@ -32,11 +32,12 @@ class TestGraphValidation:
 
     def test_edge_must_cross_bipartition(self):
         with pytest.raises(ValueError):
-            Graph(
-                num_vertices=3,
-                edges=((0, 1, 1),),
-                bipartition=(frozenset({0, 1}), frozenset({2})),
-            )
+            Graph(num_vertices=3, edges=((0, 1, 1),), num_left=2)
+
+    @pytest.mark.parametrize("num_left", [-1, 4])
+    def test_num_left_out_of_range(self, num_left):
+        with pytest.raises(ValueError):
+            Graph(num_vertices=3, edges=(), num_left=num_left)
 
     def test_bipartite_required(self):
         graph = Graph(num_vertices=2, edges=((0, 1, 1),))
@@ -159,7 +160,7 @@ class TestAgainstOracle:
             base = random_bipartite(rng, max_weight=max_weight)
             edges = list(base.edges)
             rng.shuffle(edges)
-            graph = Graph(base.num_vertices, tuple(edges), base.bipartition)
+            graph = Graph(base.num_vertices, tuple(edges), base.num_left)
             assert max_weight_bipartite(graph).edges == brute_matching(graph, weighted=True).edges
 
     def test_bipartite_matches_general_on_usw_graphs(self):
@@ -197,8 +198,8 @@ class TestAgainstOracle:
         # Kuhn search (fresh visited set per left vertex, ascending order):
         # the golden owner vectors of the egalitarian solvers depend on it.
         def kuhn(graph):
-            left = graph.bipartition[0]
-            adj = {u: [] for u in sorted(left)}
+            left = range(graph.num_left)
+            adj = {u: [] for u in left}
             for u, v, _ in graph.edges:
                 adj[u if u in left else v].append(v if u in left else u)
             match_right = {}
@@ -223,9 +224,9 @@ class TestAgainstOracle:
                 graph = Graph(
                     graph.num_vertices,
                     tuple((v, u, w) for u, v, w in graph.edges),
-                    graph.bipartition,
+                    graph.num_left,
                 )
-            left = graph.bipartition[0]
+            left = range(graph.num_left)
             fast = max_cardinality_bipartite(graph)
             assert {(u, v) if u in left else (v, u) for u, v, _ in fast.edges} == kuhn(graph)
 
@@ -236,6 +237,6 @@ class TestAgainstOracle:
             unit = Graph(
                 num_vertices=base.num_vertices,
                 edges=tuple((u, v, 1) for u, v, _ in base.edges),
-                bipartition=base.bipartition,
+                num_left=base.num_left,
             )
             assert max_cardinality_bipartite(unit).size == max_weight_bipartite(unit).size
