@@ -11,7 +11,8 @@ Egalitarian cost rides the goods machinery with the threshold reversed:
 cost <= nu - 1 under the original disutilities iff cost 0 after rewriting
 every disutility to 1-if->=nu-else-0, so the one threshold search of
 ``_threshold.py`` minimizes over candidate cost levels here instead of
-maximizing.
+maximizing.  At the extreme quantiles the probe of a level is a closed
+form in the disutilities, so the search builds no rewritten instance.
 
 Note (observation, not an operation): a minimum egalitarian-cost balanced
 allocation keeps every agent's bundle cost at most the largest single
@@ -23,7 +24,7 @@ only; no solver relies on it.
 from __future__ import annotations
 
 from ._construct import all_to_first, owner_from_bundles
-from ._threshold import copies_decider, threshold_search
+from ._threshold import Probe, copies_decider, copies_probe, threshold_search
 from .core import (
     Instance,
     IntractableQuantileError,
@@ -47,7 +48,9 @@ def balanced_esc(instance: Instance) -> SolveReport:
     quantiles, via threshold search over the matching decision."""
     require_objective_kind(instance, "esc")
     instance.items_per_agent()
-    return threshold_search(instance, balanced_esc_binary, "balanced_esc", balanced=True)
+    return threshold_search(
+        instance, balanced_esc_binary, copies_probe, "balanced_esc", balanced=True
+    )
 
 
 def usc_tau0_setcover(instance: Instance) -> SolveReport:
@@ -136,13 +139,29 @@ def _esc_tau1_binary(instance: Instance) -> SolveReport:
     return SolveReport(allocation, esc(instance, allocation), algorithm, feasible=False)
 
 
+def _esc_tau0_probe(instance: Instance) -> Probe:
+    """Probe of ``_esc_tau0_binary``: every chore costs less than the level
+    to someone."""
+    bound = max(min(column) for column in zip(*instance.values))
+    return lambda nu: nu > bound
+
+
+def _esc_tau1_probe(instance: Instance) -> Probe:
+    """Probe of ``_esc_tau1_binary``: some chore costs someone less than
+    the level."""
+    least = min(min(row) for row in instance.values)
+    return lambda nu: nu > least
+
+
 def esc_tau0(instance: Instance) -> SolveReport:
     """Exact minimum egalitarian cost when all quantiles are 0 (worst-chore
     scoring), for general integer disutilities via threshold search."""
     require_objective_kind(instance, "esc")
     if any(not q.is_zero for q in instance.quantiles):
         raise IntractableQuantileError("quantile mismatch: solver requires quantile 0")
-    return threshold_search(instance, _esc_tau0_binary, "esc_tau0", balanced=False)
+    return threshold_search(
+        instance, _esc_tau0_binary, _esc_tau0_probe, "esc_tau0", balanced=False
+    )
 
 
 def esc_tau1(instance: Instance) -> SolveReport:
@@ -151,4 +170,6 @@ def esc_tau1(instance: Instance) -> SolveReport:
     require_objective_kind(instance, "esc")
     if any(not q.is_one for q in instance.quantiles):
         raise IntractableQuantileError("quantile mismatch: solver requires quantile 1")
-    return threshold_search(instance, _esc_tau1_binary, "esc_tau1", balanced=False)
+    return threshold_search(
+        instance, _esc_tau1_binary, _esc_tau1_probe, "esc_tau1", balanced=False
+    )

@@ -83,6 +83,10 @@ def parse_instance(doc: object) -> Instance:
     missing = {"kind", "agents", "items", "quantiles", "values"} - doc.keys()
     if missing:
         raise InvalidInstanceError(f"instance document missing keys: {sorted(missing)}")
+    for key in ("agents", "items"):
+        count = doc[key]
+        if not isinstance(count, int) or isinstance(count, bool):
+            raise InvalidInstanceError(f"'{key}' must be an integer, got {count!r}")
     quantiles = doc["quantiles"]
     values = doc["values"]
     if not isinstance(quantiles, list) or not all(isinstance(q, str) for q in quantiles):

@@ -16,6 +16,7 @@ on their best one.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence, TypeAlias
 
@@ -27,6 +28,8 @@ CHORES: Kind = "chores"
 #: The instance kind each objective is defined on: welfare (usw, esw) for
 #: goods, cost (usc, esc) for chores.
 OBJECTIVE_KIND: dict[str, Kind] = {"usw": GOODS, "esw": GOODS, "usc": CHORES, "esc": CHORES}
+
+_RATIONAL = re.compile(r"([0-9]+)/([0-9]+)")
 
 
 class InvalidInstanceError(ValueError):
@@ -65,15 +68,15 @@ class Quantile:
 
     @classmethod
     def parse(cls, text: str) -> "Quantile":
-        """Parse a "p/q" string (e.g. "1/2", "0/1") into a Quantile."""
-        parts = text.strip().split("/")
-        if len(parts) != 2:
+        """Parse a "p/q" string (e.g. "1/2", "0/1") into a Quantile.
+
+        Only ASCII digits are accepted around the slash: no sign, inner
+        space, underscore or other Unicode digit that ``int()`` would take.
+        """
+        match = _RATIONAL.fullmatch(text.strip())
+        if match is None:
             raise InvalidInstanceError(f"quantile {text!r} is not of the form p/q")
-        try:
-            num, den = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise InvalidInstanceError(f"quantile {text!r} is not of the form p/q") from exc
-        return cls(num, den)
+        return cls(int(match[1]), int(match[2]))
 
     @property
     def is_zero(self) -> bool:

@@ -2,9 +2,12 @@
 
 Everything here rides on one reduction: an allocation has egalitarian
 welfare >= nu under integer values if and only if it has egalitarian welfare
-1 after rewriting every value to 1-if->=nu-else-0.  So each solver is a
-binary decision procedure ("can everyone get value 1?") wrapped in the one
-threshold search of ``_threshold.py``, shared with the chores solvers.
+1 after rewriting every value to 1-if->=nu-else-0.  So each solver is the
+one threshold search of ``_threshold.py``, shared with the chores solvers,
+over a pair: a probe, a cheap yes/no test of "can everyone get value 1?" at
+a level, read off the original values, and a binary decision procedure.
+The probes find the boundary level, and the decider runs once there to
+build the allocation.
 
 Balanced bundles are decided by the copies-to-items bipartite matching of
 ``_threshold.py``, for any mix of quantiles.  Unbalanced bundles are only
@@ -16,8 +19,19 @@ no multiplicative approximation is possible once the decision is NP-hard.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from ._construct import all_to_first, owner_from_bundles
-from ._threshold import BinaryDecider, copies_decider, threshold_search
+from ._threshold import (
+    BinaryDecider,
+    Probe,
+    ProbeFactory,
+    copies_decider,
+    copies_probe,
+    decider_probe,
+    level_adjacency,
+    threshold_search,
+)
 from .core import (
     Instance,
     IntractableQuantileError,
@@ -27,7 +41,13 @@ from .core import (
     esw,
     require_objective_kind,
 )
-from .matching import Graph, bipartite_graph, max_cardinality_bipartite, max_weight_general
+from .matching import (
+    Graph,
+    bipartite_graph,
+    max_cardinality_bipartite,
+    max_weight_general,
+    saturates_left,
+)
 
 
 def _require_binary(instance: Instance) -> None:
@@ -68,7 +88,9 @@ def balanced_esw(instance: Instance) -> SolveReport:
     quantiles, via threshold search over the matching decision."""
     require_objective_kind(instance, "esw")
     instance.items_per_agent()
-    return threshold_search(instance, balanced_esw_binary, "balanced_esw", balanced=True)
+    return threshold_search(
+        instance, balanced_esw_binary, copies_probe, "balanced_esw", balanced=True
+    )
 
 
 def _saturating_matching(instance: Instance) -> dict[int, int] | None:
@@ -291,6 +313,49 @@ def binary_esw_decider_for(tau: Quantile) -> BinaryDecider:
     }[family]
 
 
+def _saturation_probe(instance: Instance) -> Probe:
+    """Probe of ``unbalanced_esw_binary_tau1``: every agent matched to a
+    distinct item worth at least the level."""
+    adjacency = level_adjacency(instance)
+    return lambda nu: saturates_left(adjacency(nu), instance.m)
+
+
+def _tau0_probe(instance: Instance) -> Probe:
+    """Probe of ``unbalanced_esw_binary_tau0``: no item is worth less than
+    the level to everyone, and the agents saturate."""
+    least_max = min(max(column) for column in zip(*instance.values))
+    saturates = _saturation_probe(instance)
+    return lambda nu: nu <= least_max and saturates(nu)
+
+
+def _frac_probe(instance: Instance, t: int) -> Probe:
+    """Probe of ``unbalanced_esw_binary_frac``: the count |M_0| <= t*|M_1| - n
+    at the level, where |M_0| counts the items below it for everyone, and
+    the agents saturate."""
+    n, m = instance.n, instance.m
+    column_max = sorted(max(column) for column in zip(*instance.values))
+    saturates = _saturation_probe(instance)
+
+    def probe(nu: int) -> bool:
+        zeros = bisect_left(column_max, nu)
+        return zeros <= t * (m - zeros) - n and saturates(nu)
+
+    return probe
+
+
+def _esw_search_for(tau: Quantile) -> tuple[BinaryDecider, ProbeFactory]:
+    """The decider and probe factory of the threshold search for a
+    homogeneous quantile; raises like ``binary_esw_decider_for``."""
+    decider = binary_esw_decider_for(tau)
+    family = esw_family(tau)
+    if family == "third":
+        return decider_probe(decider)
+    if family == "frac":
+        t = tau.numerator
+        return decider, lambda inst: _frac_probe(inst, t)
+    return decider, {"tau0": _tau0_probe, "tau1": _saturation_probe}[family]
+
+
 def unbalanced_esw(instance: Instance) -> SolveReport:
     """Exact maximum egalitarian welfare over all allocations, for homogeneous
     quantiles in the tractable family; threshold search over the family's
@@ -301,8 +366,8 @@ def unbalanced_esw(instance: Instance) -> SolveReport:
         raise IntractableQuantileError(
             "heterogeneous quantiles are not supported for unbalanced egalitarian welfare"
         )
-    decider = binary_esw_decider_for(tau)
-    return threshold_search(instance, decider, "unbalanced_esw", balanced=False)
+    decider, probe_for = _esw_search_for(tau)
+    return threshold_search(instance, decider, probe_for, "unbalanced_esw", balanced=False)
 
 
 def _identical_binary_esw(instance: Instance) -> SolveReport:
@@ -333,26 +398,27 @@ def _identical_binary_esw(instance: Instance) -> SolveReport:
         allocation = owner_from_bundles(bundles, m)
         return SolveReport(allocation, esw(instance, allocation), algorithm, feasible=True)
 
-    def ones_needed(z: int) -> int:
-        # Smallest bundle size strictly above z / tau, minus the z zeros.
-        size = (z * tau.denominator) // tau.numerator + 1
-        return size - z
-
     z_total = len(zeros)
-    # ones_needed is non-decreasing, so no split can cost more than this.
-    infinity = n * ones_needed(z_total) + 1
+    # ones_needed[z]: the smallest bundle size strictly above z / tau, minus
+    # the z zeros.  It is non-decreasing, so every split costs less than
+    # infinity.
+    ones_needed = [
+        (z * tau.denominator) // tau.numerator + 1 - z for z in range(z_total + 1)
+    ]
+    infinity = n * ones_needed[z_total] + 1
     # best[zz] = fewest 1-items needed when the agents so far hold zz zeros.
     best = [0] + [infinity] * z_total
     takes: list[list[int]] = []
     for _ in range(n):
-        nxt = [infinity] * (z_total + 1)
-        take_for = [0] * (z_total + 1)
+        nxt: list[int] = []
+        take_for: list[int] = []
         for total in range(z_total + 1):
-            for take in range(total + 1):
-                cost = best[total - take] + ones_needed(take)
-                if cost < nxt[total]:
-                    nxt[total] = cost
-                    take_for[total] = take
+            # costs[take] = best[total - take] + ones_needed[take]; the first
+            # minimum is the smallest take among the cheapest.
+            costs = [b + c for b, c in zip(best[total::-1], ones_needed)]
+            cheapest = min(costs)
+            nxt.append(cheapest)
+            take_for.append(costs.index(cheapest))
         best = nxt
         takes.append(take_for)
 
@@ -371,7 +437,7 @@ def _identical_binary_esw(instance: Instance) -> SolveReport:
     for i in range(n):
         bundles[i].extend(zeros[z_cursor : z_cursor + split[i]])
         z_cursor += split[i]
-        need = ones_needed(split[i])
+        need = ones_needed[split[i]]
         bundles[i].extend(ones[o_cursor : o_cursor + need])
         o_cursor += need
     bundles[0].extend(ones[o_cursor:])
@@ -391,6 +457,7 @@ def identical_unbalanced_esw(instance: Instance) -> SolveReport:
         raise InvalidInstanceError("value rows are not identical")
     if instance.homogeneous_quantile() is None:
         raise InvalidInstanceError("quantiles are not identical")
+    decider, probe_for = decider_probe(_identical_binary_esw)
     return threshold_search(
-        instance, _identical_binary_esw, "identical_unbalanced_esw", balanced=False
+        instance, decider, probe_for, "identical_unbalanced_esw", balanced=False
     )

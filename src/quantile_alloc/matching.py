@@ -115,13 +115,67 @@ def _require_bipartition(graph: Graph) -> int:
     return graph.num_left
 
 
+def _try_augment(
+    root: int, adj: list[list[int]], match_right: list[int], seen: list[int], epoch: int
+) -> bool:
+    """One augmenting-path search from the free left vertex ``root``.
+
+    ``match_right[v]`` is the left mate of right vertex v, or -1, and is
+    updated along the path when one is found.  ``seen[v]`` is the last epoch
+    whose searches reached v.  A failed search changes nothing, and nothing
+    it reached leads to a free vertex, so its marks stay valid for the
+    searches after it until the next augmentation opens a new epoch.  The
+    search is a depth-first search on an explicit stack, so path length is
+    not bounded by the interpreter's recursion limit.
+    """
+    # stack[d] is the left vertex at depth d with its adjacency cursor;
+    # through[d] is the right vertex that led from depth d to depth d + 1.
+    stack = [(root, iter(adj[root]))]
+    through: list[int] = []
+    while stack:
+        u, cursor = stack[-1]
+        for v in cursor:
+            if seen[v] == epoch:
+                continue
+            seen[v] = epoch
+            if match_right[v] == -1:
+                match_right[v] = u
+                for (w, _), x in zip(stack, through):
+                    match_right[x] = w
+                return True
+            through.append(v)
+            stack.append((match_right[v], iter(adj[match_right[v]])))
+            break
+        else:
+            stack.pop()
+            if through:
+                through.pop()
+    return False
+
+
+def saturates_left(adj: list[list[int]], num_right: int) -> bool:
+    """Whether a bipartite graph has a matching covering every left vertex.
+
+    ``adj[u]`` lists the right vertices 0..num_right-1 adjacent to left
+    vertex u.  Roots are tried in order and the answer is False at the first
+    one that fails to augment: by Berge's lemma, a root with no augmenting
+    path is left uncovered by every matching that covers the roots before
+    it.  No ``Graph`` or ``Matching`` is built.
+    """
+    match_right = [-1] * num_right
+    seen = [-1] * num_right
+    # Every root before this one augmented, so the root's index is the epoch.
+    for root in range(len(adj)):
+        if not _try_augment(root, adj, match_right, seen, root):
+            return False
+    return True
+
+
 def max_cardinality_bipartite(graph: Graph) -> Matching:
     """Maximum-cardinality matching in a bipartite graph via augmenting paths.
 
     Left vertices are scanned in ascending order and adjacency lists are kept
-    in ascending order, so the result is deterministic.  Each augmenting-path
-    search is a depth-first search on an explicit stack, so path length is
-    not bounded by the interpreter's recursion limit.
+    in ascending order, so the result is deterministic.
     """
     num_left = _require_bipartition(graph)
     adj: list[list[int]] = [[] for _ in range(num_left)]
@@ -133,41 +187,11 @@ def max_cardinality_bipartite(graph: Graph) -> Matching:
     for nbrs in adj:
         nbrs.sort()
 
-    # match_right[v]: left mate of right vertex v, or -1.  seen[v]: the last
-    # epoch whose searches reached v.  A failed search changes nothing, and
-    # nothing it reached leads to a free vertex, so its marks stay valid for
-    # the searches after it until the next augmentation opens a new epoch.
     match_right = [-1] * graph.num_vertices
     seen = [-1] * graph.num_vertices
-
-    def try_augment(root: int, epoch: int) -> bool:
-        # stack[d] is the left vertex at depth d with its adjacency cursor;
-        # through[d] is the right vertex that led from depth d to depth d + 1.
-        stack = [(root, iter(adj[root]))]
-        through: list[int] = []
-        while stack:
-            u, cursor = stack[-1]
-            for v in cursor:
-                if seen[v] == epoch:
-                    continue
-                seen[v] = epoch
-                if match_right[v] == -1:
-                    match_right[v] = u
-                    for (w, _), x in zip(stack, through):
-                        match_right[x] = w
-                    return True
-                through.append(v)
-                stack.append((match_right[v], iter(adj[match_right[v]])))
-                break
-            else:
-                stack.pop()
-                if through:
-                    through.pop()
-        return False
-
     epoch = 0
     for root in range(num_left):
-        if try_augment(root, epoch):
+        if _try_augment(root, adj, match_right, seen, epoch):
             epoch += 1
 
     chosen = tuple(

@@ -89,6 +89,14 @@ class TestSolveCommand:
     def test_missing_file_exit_two(self, tmp_path):
         assert main(["solve", "-i", str(tmp_path / "nope.json"), "--objective", "usw"]) == 2
 
+    @pytest.mark.parametrize(
+        "key, count", [("agents", True), ("agents", 2.0), ("items", False), ("items", 4.0)]
+    )
+    def test_non_integer_count_exit_two(self, tmp_path, capsys, key, count):
+        inst_file = write_json(tmp_path / "inst.json", dict(GREEDY_DOC, **{key: count}))
+        assert main(["solve", "-i", inst_file, "--objective", "usw"]) == 2
+        assert f"'{key}' must be an integer" in capsys.readouterr().err
+
     def test_unknown_flag_exit_two(self, tmp_path, capsys):
         inst_file = write_json(tmp_path / "inst.json", GREEDY_DOC)
         assert main(["solve", "-i", inst_file, "--objective", "nash"]) == 2

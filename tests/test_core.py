@@ -52,7 +52,13 @@ class TestQuantile:
         assert Quantile.parse("0/1").is_zero
         assert Quantile.parse("1/1").is_one
 
-    @pytest.mark.parametrize("text", ["3/3", "2/4", "5/4", "-1/2", "1/0", "0/2", "0.5", "half"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "3/3", "2/4", "5/4", "-1/2", "1/0", "0/2", "0.5", "half",
+            "1_0/2_1", " 1/ 2", "1 /2", "+1/2", "-0/1", "\uff11/\uff12",
+        ],
+    )
     def test_rejects_bad_rationals(self, text):
         with pytest.raises(InvalidInstanceError):
             Quantile.parse(text)
