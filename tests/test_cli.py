@@ -223,6 +223,26 @@ class TestOracleCommand:
         assert main(["oracle", "-i", inst_file, "--objective", "usw"]) == 1
         assert "budget" in capsys.readouterr().err
 
+    def test_two_by_forty_exit_one(self, tmp_path, capsys):
+        doc = {
+            "kind": "goods",
+            "agents": 2,
+            "items": 40,
+            "quantiles": ["1/2"] * 2,
+            "values": [[1] * 40] * 2,
+        }
+        inst_file = write_json(tmp_path / "inst.json", doc)
+        assert main(["oracle", "-i", inst_file, "--objective", "usw"]) == 1
+        assert "budget" in capsys.readouterr().err
+
+    def test_one_by_sixty_exit_zero(self, tmp_path, capsys):
+        doc = {"kind": "goods", "agents": 1, "items": 60, "quantiles": ["1/2"], "values": [[1] * 60]}
+        inst_file = write_json(tmp_path / "inst.json", doc)
+        assert main(["oracle", "-i", inst_file, "--objective", "usw"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["welfare"] == 1
+        assert out["owner"] == [0] * 60
+
 
 class TestGenCommand:
     def test_deterministic_bytes(self, tmp_path):

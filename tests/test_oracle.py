@@ -1,8 +1,12 @@
-"""Oracle self-checks: enumeration counts, exact optima, budget behavior."""
+"""Oracle self-checks: enumeration counts, exact optima, budget behavior,
+and the bundle tables ``opt_welfare`` walks against the per-allocation scan
+it replaced."""
 
 from __future__ import annotations
 
 import random
+import time
+import zlib
 
 import pytest
 
@@ -17,10 +21,37 @@ from quantile_alloc import (
     allocation_count,
     brute_matching,
     bundle_value,
+    chores,
     enumerate_allocations,
     goods,
+    make_instance,
     opt_welfare,
+    oracle,
 )
+from quantile_alloc.oracle import bundle_value_table, evaluate
+
+OBJECTIVES = {"goods": ("usw", "esw"), "chores": ("usc", "esc")}
+TABLE_TAUS = ["0/1", "1/4", "1/3", "1/2", "2/3", "3/4", "1/1"]
+
+
+def reference_opt(instance, objective, balanced=False):
+    """The per-allocation scan: ``evaluate`` over ``enumerate_allocations``,
+    keeping the first strictly best allocation."""
+    maximize = objective in ("usw", "esw")
+    best_value = best_alloc = None
+    for alloc in enumerate_allocations(instance.n, instance.m, balanced):
+        value = evaluate(instance, objective, alloc)
+        if best_value is None or (value > best_value if maximize else value < best_value):
+            best_value, best_alloc = value, alloc
+    return best_value, best_alloc
+
+
+def items_of(mask: int) -> list[int]:
+    return [g for g in range(mask.bit_length()) if mask >> g & 1]
+
+
+def refuse_table(*args, **kwargs):
+    raise AssertionError("a bundle table was built")
 
 
 class TestEnumeration:
@@ -88,8 +119,6 @@ class TestOptWelfare:
 
     def test_witness_attains_reported_value(self):
         rng = random.Random(42)
-        from quantile_alloc.oracle import evaluate
-
         for _ in range(30):
             n = rng.randint(1, 3)
             m = rng.randint(1, 5)
@@ -111,6 +140,99 @@ class TestOptWelfare:
                 values=inst.values + ((0,) * m,),
             )
             assert opt_welfare(extended, "usw")[0] >= opt_welfare(inst, "usw")[0]
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("owner", [(0,), (0, 0, 1, 1)])
+    def test_wrong_length_allocation_rejected(self, owner):
+        inst = goods(["1/1", "1/1"], [[5, 1, 1], [1, 1, 1]])
+        with pytest.raises(
+            InvalidInstanceError, match=f"allocation covers {len(owner)} items, instance has 3"
+        ):
+            evaluate(inst, "usw", Allocation(owner))
+
+
+class TestTableParity:
+    """``opt_welfare`` against ``reference_opt``: same value, same witness."""
+
+    @staticmethod
+    def assert_same(rng, n, m, kind, balanced, top):
+        inst = random_instance(rng, n, m, kind=kind, max_value=top)
+        for objective in OBJECTIVES[kind]:
+            assert opt_welfare(inst, objective, balanced) == reference_opt(
+                inst, objective, balanced
+            ), (objective, balanced, inst)
+
+    @pytest.mark.parametrize("top", [1, 9])
+    @pytest.mark.parametrize("balanced", [False, True])
+    @pytest.mark.parametrize("kind", ["goods", "chores"])
+    def test_small_draws(self, kind, balanced, top):
+        seed = zlib.crc32(f"table parity {kind} {balanced} {top}".encode())
+        print(f"seed {seed}")
+        rng = random.Random(seed)
+        for _ in range(50):
+            n = rng.randint(1, 4)
+            if balanced:
+                m = n * rng.randint(1, 8 // n)
+            else:
+                m = rng.randint(1, 8 if n < 4 else 6)
+            self.assert_same(rng, n, m, kind, balanced, top)
+
+    @pytest.mark.parametrize(
+        "n, m, balanced", [(3, 9, False), (2, 14, False), (2, 14, True)]
+    )
+    @pytest.mark.parametrize("kind", ["goods", "chores"])
+    def test_certify_sizes(self, kind, n, m, balanced):
+        seed = zlib.crc32(f"table parity {kind} {n}x{m} {balanced}".encode())
+        print(f"seed {seed}")
+        rng = random.Random(seed)
+        self.assert_same(rng, n, m, kind, balanced, rng.choice([1, 9]))
+
+
+class TestBundleValueTable:
+    @pytest.mark.parametrize("tau", TABLE_TAUS)
+    @pytest.mark.parametrize("kind", ["goods", "chores"])
+    def test_every_mask_matches_bundle_value(self, kind, tau):
+        seed = zlib.crc32(f"bundle table {kind} {tau}".encode())
+        print(f"seed {seed}")
+        rng = random.Random(seed)
+        for m in range(1, 9):
+            rows = [[rng.randint(0, rng.choice([1, 9])) for _ in range(m)] for _ in range(2)]
+            inst = make_instance(kind, [tau, rng.choice(TABLE_TAUS)], rows)
+            for agent in range(2):
+                expected = [bundle_value(inst, agent, items_of(mask)) for mask in range(1 << m)]
+                assert expected[0] == 0
+                assert bundle_value_table(inst, agent) == expected, (agent, inst)
+                for size in range(1, m + 1):
+                    sized = [
+                        value if mask.bit_count() == size else 0
+                        for mask, value in enumerate(expected)
+                    ]
+                    assert bundle_value_table(inst, agent, (size,)) == sized, (agent, size, inst)
+
+
+class TestSizeGuards:
+    @pytest.mark.parametrize("balanced", [False, True])
+    def test_single_agent_builds_no_table(self, balanced, monkeypatch):
+        monkeypatch.setattr(oracle, "bundle_value_table", refuse_table)
+        start = time.perf_counter()
+        value, witness = opt_welfare(goods(["1/2"], [[1] * 60]), "usw", balanced)
+        assert time.perf_counter() - start < 1.0
+        assert (value, witness) == (1, Allocation((0,) * 60))
+
+    @pytest.mark.parametrize("balanced", [False, True])
+    def test_budget_refused_before_any_table(self, balanced, monkeypatch):
+        monkeypatch.setattr(oracle, "bundle_value_table", refuse_table)
+        inst = chores(["1/2", "1/2"], [[1] * 40, [2] * 40])
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError):
+            opt_welfare(inst, "usc", balanced)
+        assert time.perf_counter() - start < 1.0
+
+    def test_kind_checked_before_budget(self, monkeypatch):
+        monkeypatch.setattr(oracle, "bundle_value_table", refuse_table)
+        with pytest.raises(InvalidInstanceError, match="does not apply"):
+            opt_welfare(goods(["1/2", "1/2"], [[1] * 40, [2] * 40]), "usc")
 
 
 class TestBruteMatching:
