@@ -31,7 +31,7 @@ from .core import (
     esw,
     threshold_binary,
 )
-from .matching import bipartite_graph, max_cardinality_bipartite, saturates_left
+from .matching import saturating_match
 
 BinaryDecider = Callable[[Instance], SolveReport]
 #: Whether a level is feasible: the decider's verdict on ``threshold_binary``
@@ -88,6 +88,12 @@ def decider_probe(decider: BinaryDecider) -> tuple[BinaryDecider, ProbeFactory]:
     return decide, probe_for
 
 
+def _copies(items: list[list[int]], quotas: list[int]) -> list[list[int]]:
+    """The left side of the copies-to-items matching: each agent's items,
+    once per copy."""
+    return [row for row, quota in zip(items, quotas) for _ in range(quota)]
+
+
 def copies_decider(instance: Instance) -> SolveReport:
     """Decide whether a balanced allocation can give every agent value 1
     (goods) or cost 0 (chores) on a binary instance.
@@ -107,29 +113,16 @@ def copies_decider(instance: Instance) -> SolveReport:
     k = instance.items_per_agent()
     n, m = instance.n, instance.m
     quotas = [demand_quota(q, k) for q in instance.quantiles]
+    items = [[g for g, entry in enumerate(row) if entry == good] for row in instance.values]
+    copy_of_item = saturating_match(_copies(items, quotas), m)
 
-    copy_agent: list[int] = []
-    for i in range(n):
-        copy_agent.extend([i] * quotas[i])
-    edges = [
-        (c, g, 1)
-        for c, i in enumerate(copy_agent)
-        for g in range(m)
-        if instance.values[i][g] == good
-    ]
-    matching = max_cardinality_bipartite(bipartite_graph(len(copy_agent), m, edges))
-
-    if matching.size == len(copy_agent):
+    if copy_of_item is not None:
+        copy_agent = [i for i, quota in enumerate(quotas) for _ in range(quota)]
         bundles: list[list[int]] = [[] for _ in range(n)]
-        mate = matching.mate()
-        matched_items: set[int] = set()
-        for c, i in enumerate(copy_agent):
-            partner = mate.get(c)
-            if partner is not None:
-                g = partner - len(copy_agent)
-                bundles[i].append(g)
-                matched_items.add(g)
-        round_robin_pad(bundles, [g for g in range(m) if g not in matched_items], k)
+        for g, c in enumerate(copy_of_item):
+            if c != -1:
+                bundles[copy_agent[c]].append(g)
+        round_robin_pad(bundles, [g for g, c in enumerate(copy_of_item) if c == -1], k)
         allocation = owner_from_bundles(bundles, m)
         feasible = True
     else:
@@ -144,17 +137,12 @@ def copies_decider(instance: Instance) -> SolveReport:
 
 
 def copies_probe(instance: Instance) -> Probe:
-    """Probe of ``copies_decider``: each agent's items at the level, repeated
-    once per copy, must saturate the copies."""
+    """Probe of ``copies_decider``: the same matching on each agent's items
+    at the level."""
     k = instance.items_per_agent()
     quotas = [demand_quota(q, k) for q in instance.quantiles]
     adjacency = level_adjacency(instance)
-
-    def probe(nu: int) -> bool:
-        adj = [items for items, quota in zip(adjacency(nu), quotas) for _ in range(quota)]
-        return saturates_left(adj, instance.m)
-
-    return probe
+    return lambda nu: saturating_match(_copies(adjacency(nu), quotas), instance.m) is not None
 
 
 def candidate_levels(instance: Instance) -> list[int]:
@@ -182,8 +170,9 @@ def threshold_search(
     The feasible goods levels are a prefix of ``candidate_levels``, so the
     search moves up after a feasible probe; the feasible chores levels are a
     suffix, and it moves down.  With a single level the decider's verdict
-    is the whole search and no probe is built.  When no goods level is feasible the allocation is the balanced
-    or unbalanced fallback; the top chores level is always feasible.
+    is the whole search and no probe is built.  When no goods level is
+    feasible the allocation is the balanced or unbalanced fallback; the top
+    chores level is always feasible.
     """
     thresholds = candidate_levels(instance)
     objective, upward = (esw, True) if instance.kind == GOODS else (esc, False)

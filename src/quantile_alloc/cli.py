@@ -45,15 +45,11 @@ from .core import (
     InvalidInstanceError,
     Quantile,
     SolveReport,
-    esc,
-    esw,
     make_instance,
     require_objective_kind,
-    usc,
-    usw,
 )
 from .esw_solvers import balanced_esw, esw_family, identical_unbalanced_esw, unbalanced_esw
-from .oracle import BudgetExceededError, EnumerationBudget, opt_welfare
+from .oracle import BudgetExceededError, EnumerationBudget, evaluate, opt_welfare
 from .usw_solvers import (
     greedy_balanced_usw,
     identical_binary_usw_unbalanced,
@@ -62,8 +58,6 @@ from .usw_solvers import (
 )
 
 OBJECTIVES = tuple(OBJECTIVE_KIND)
-
-_OBJECTIVE_FN = {"usw": usw, "esw": esw, "usc": usc, "esc": esc}
 
 
 class UnsupportedRequestError(Exception):
@@ -316,13 +310,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     instance = parse_instance(_load_json(args.instance))
     allocation, meta = parse_allocation(_load_json(args.allocation))
-    if allocation.m != instance.m:
-        raise InvalidInstanceError("allocation length disagrees with the instance")
-    if any(o >= instance.n for o in allocation.owner):
-        raise InvalidInstanceError("owner index out of range for agent count")
+    value = evaluate(instance, args.objective, allocation)
     if args.balanced and not allocation.is_balanced(instance.n):
         raise InvalidInstanceError("allocation is not balanced")
-    value = _OBJECTIVE_FN[args.objective](instance, allocation)
     if "welfare" in meta and meta["welfare"] != value:
         raise InvalidInstanceError(
             f"stored welfare {meta['welfare']} disagrees with recomputed {value}"

@@ -41,13 +41,7 @@ from .core import (
     esw,
     require_objective_kind,
 )
-from .matching import (
-    Graph,
-    bipartite_graph,
-    max_cardinality_bipartite,
-    max_weight_general,
-    saturates_left,
-)
+from .matching import Graph, max_weight_general, saturating_match
 
 
 def _require_binary(instance: Instance) -> None:
@@ -93,18 +87,11 @@ def balanced_esw(instance: Instance) -> SolveReport:
     )
 
 
-def _saturating_matching(instance: Instance) -> dict[int, int] | None:
-    """Agent -> item map from a maximum matching on value-1 edges, or None if
-    some agent stays unmatched."""
-    n, m = instance.n, instance.m
-    edges = [
-        (i, g, 1) for i in range(n) for g in range(m) if instance.values[i][g] == 1
-    ]
-    matching = max_cardinality_bipartite(bipartite_graph(n, m, edges))
-    if matching.size < n:
-        return None
-    mate = matching.mate()
-    return {i: mate[i] - n for i in range(n)}
+def _saturating_matching(instance: Instance) -> list[int] | None:
+    """The agent matched to each item (-1: none) by a matching on value-1
+    edges that covers every agent, or None if there is no such matching."""
+    items = [[g for g, entry in enumerate(row) if entry == 1] for row in instance.values]
+    return saturating_match(items, instance.m)
 
 
 def _infeasible_unbalanced(instance: Instance, algorithm: str) -> SolveReport:
@@ -136,14 +123,16 @@ def unbalanced_esw_binary_frac(instance: Instance, t: int) -> SolveReport:
         )
     algorithm = "unbalanced_esw_binary_frac"
     zeros, ones = _zero_one_split(instance)
-    assigned = _saturating_matching(instance)
-    if assigned is None or len(zeros) > t * len(ones) - instance.n:
+    agent_of_item = _saturating_matching(instance)
+    if agent_of_item is None or len(zeros) > t * len(ones) - instance.n:
         return _infeasible_unbalanced(instance, algorithm)
 
     n = instance.n
-    bundles: list[list[int]] = [[assigned[i]] for i in range(n)]
-    matched_items = set(assigned.values())
-    rem_ones = [g for g in ones if g not in matched_items]
+    bundles: list[list[int]] = [[] for _ in range(n)]
+    for g, i in enumerate(agent_of_item):
+        if i != -1:
+            bundles[i].append(g)
+    rem_ones = [g for g in ones if agent_of_item[g] == -1]
     rem_zeros = list(zeros)
 
     pos1 = 0
@@ -248,14 +237,12 @@ def unbalanced_esw_binary_tau0(instance: Instance) -> SolveReport:
         raise IntractableQuantileError("quantile mismatch: solver requires quantile 0")
     algorithm = "unbalanced_esw_binary_tau0"
     zeros, _ = _zero_one_split(instance)
-    assigned = _saturating_matching(instance)
-    if zeros or assigned is None:
+    agent_of_item = _saturating_matching(instance)
+    if zeros or agent_of_item is None:
         return _infeasible_unbalanced(instance, algorithm)
-    bundles: list[list[int]] = [[assigned[i]] for i in range(instance.n)]
-    matched_items = set(assigned.values())
-    for g in range(instance.m):
-        if g not in matched_items:
-            bundles[_first_valuing_agent(instance, g)].append(g)
+    bundles: list[list[int]] = [[] for _ in range(instance.n)]
+    for g, i in enumerate(agent_of_item):
+        bundles[_first_valuing_agent(instance, g) if i == -1 else i].append(g)
     allocation = owner_from_bundles(bundles, instance.m)
     return SolveReport(allocation, esw(instance, allocation), algorithm, feasible=True)
 
@@ -268,12 +255,12 @@ def unbalanced_esw_binary_tau1(instance: Instance) -> SolveReport:
     if any(not q.is_one for q in instance.quantiles):
         raise IntractableQuantileError("quantile mismatch: solver requires quantile 1")
     algorithm = "unbalanced_esw_binary_tau1"
-    assigned = _saturating_matching(instance)
-    if assigned is None:
+    agent_of_item = _saturating_matching(instance)
+    if agent_of_item is None:
         return _infeasible_unbalanced(instance, algorithm)
-    bundles: list[list[int]] = [[assigned[i]] for i in range(instance.n)]
-    matched_items = set(assigned.values())
-    bundles[0].extend(g for g in range(instance.m) if g not in matched_items)
+    bundles: list[list[int]] = [[] for _ in range(instance.n)]
+    for g, i in enumerate(agent_of_item):
+        bundles[0 if i == -1 else i].append(g)
     allocation = owner_from_bundles(bundles, instance.m)
     return SolveReport(allocation, esw(instance, allocation), algorithm, feasible=True)
 
@@ -317,7 +304,7 @@ def _saturation_probe(instance: Instance) -> Probe:
     """Probe of ``unbalanced_esw_binary_tau1``: every agent matched to a
     distinct item worth at least the level."""
     adjacency = level_adjacency(instance)
-    return lambda nu: saturates_left(adjacency(nu), instance.m)
+    return lambda nu: saturating_match(adjacency(nu), instance.m) is not None
 
 
 def _tau0_probe(instance: Instance) -> Probe:

@@ -9,6 +9,14 @@ Three routines, all in exact integer arithmetic:
 * maximum-weight general matching: the blossom algorithm of networkx, for
   graphs with odd cycles.
 
+The solvers call the bipartite routines on plain lists they already hold:
+``saturating_match`` on per-vertex adjacency and ``max_weight_pairs`` on
+edge ends and weights.  ``Graph`` and ``Matching`` validate the public
+API's input and output: ``max_cardinality_bipartite`` shares its
+augmenting search with ``saturating_match``, ``max_weight_bipartite`` is an
+adapter over ``max_weight_pairs``, and ``max_weight_general`` serves the
+1/3 decider's non-bipartite graphs.
+
 Determinism contract: all three routines are pure functions of the input
 graph.  The weighted routines additionally break ties between equally heavy
 matchings toward the lexicographically smallest sorted edge-index sequence
@@ -29,7 +37,7 @@ routes meet this contract differently:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import networkx as nx
 
@@ -100,14 +108,6 @@ class Matching:
     def weight(self) -> int:
         return sum(w for _, _, w in self.edges)
 
-    def mate(self) -> dict[int, int]:
-        """Vertex -> matched partner, in both directions."""
-        out: dict[int, int] = {}
-        for u, v, _ in self.edges:
-            out[u] = v
-            out[v] = u
-        return out
-
 
 def _require_bipartition(graph: Graph) -> int:
     if graph.num_left is None:
@@ -153,22 +153,24 @@ def _try_augment(
     return False
 
 
-def saturates_left(adj: list[list[int]], num_right: int) -> bool:
-    """Whether a bipartite graph has a matching covering every left vertex.
+def saturating_match(adj: list[list[int]], num_right: int) -> list[int] | None:
+    """A matching that covers every left vertex, or None when none exists.
 
     ``adj[u]`` lists the right vertices 0..num_right-1 adjacent to left
-    vertex u.  Roots are tried in order and the answer is False at the first
-    one that fails to augment: by Berge's lemma, a root with no augmenting
-    path is left uncovered by every matching that covers the roots before
-    it.  No ``Graph`` or ``Matching`` is built.
+    vertex u, in the order they are tried.  The result gives the left mate
+    of each right vertex, -1 for a free one.  Roots are tried in order and
+    the answer is None at the first one that fails to augment: by Berge's
+    lemma, a root with no augmenting path is left uncovered by every
+    matching that covers the roots before it.  On success the matching is
+    the one ``max_cardinality_bipartite`` returns for the same adjacency.
     """
     match_right = [-1] * num_right
     seen = [-1] * num_right
     # Every root before this one augmented, so the root's index is the epoch.
     for root in range(len(adj)):
         if not _try_augment(root, adj, match_right, seen, root):
-            return False
-    return True
+            return None
+    return match_right
 
 
 def max_cardinality_bipartite(graph: Graph) -> Matching:
@@ -294,27 +296,31 @@ def _flip(found: tuple[dict[int, int], int], mate: list[int], other_mate: list[i
         t = nxt
 
 
-def max_weight_bipartite(graph: Graph) -> Matching:
-    """Maximum-weight matching in a bipartite graph (not necessarily perfect).
+def max_weight_pairs(
+    num_left: int,
+    num_right: int,
+    ends: Sequence[tuple[int, int]],
+    weights: Sequence[int],
+) -> list[int]:
+    """Maximum-weight matching of a bipartite graph held as lists, as the
+    ascending indices of its edges.
 
-    Ties between equally heavy matchings go to the lexicographically smallest
-    edge-index set; see the module docstring.
+    Edge k joins left vertex ``ends[k][0]`` (0..num_left-1) to right vertex
+    ``ends[k][1]`` (0..num_right-1) at weight ``weights[k]``.  The edges are
+    taken as given: distinct pairs in range, non-negative integer weights.
+    Ties between equally heavy matchings go to the lexicographically
+    smallest edge-index set; see the module docstring.
     """
-    num_left = _require_bipartition(graph)
-    if not graph.edges:
-        return Matching(())
-    # The smaller side is the rows (the left side on equal sizes); a left
-    # vertex keeps its number as index, a right vertex drops num_left.
-    num_right = graph.num_vertices - num_left
-    left_rows = num_left <= num_right
-    num_rows, num_cols = (num_left, num_right) if left_rows else (num_right, num_left)
-    ends = []
-    for u, v, _ in graph.edges:
-        a, b = (u, v - num_left) if u < num_left else (v, u - num_left)
-        ends.append((a, b) if left_rows else (b, a))
+    if not ends:
+        return []
+    # The smaller side is the rows (the left side on equal sizes).
+    num_rows, num_cols = num_left, num_right
+    if num_rows > num_cols:
+        num_rows, num_cols = num_cols, num_rows
+        ends = [(b, a) for a, b in ends]
     # Missing edges weigh 0; the extra all-zero column keeps the row duals >= 0.
     weight = [[0] * (num_cols + 1) for _ in range(num_rows)]
-    for (i, j), (_, _, w) in zip(ends, graph.edges):
+    for (i, j), w in zip(ends, weights):
         weight[i][j] = w
     y, z, col_row = _hungarian(weight)
 
@@ -322,7 +328,7 @@ def max_weight_bipartite(graph: Graph) -> Matching:
     # matchings of tight edges that cover every vertex of positive dual.
     row_adj: list[list[int]] = [[] for _ in range(num_rows)]
     col_adj: list[list[int]] = [[] for _ in range(num_cols)]
-    for (i, j), (_, _, w) in zip(ends, graph.edges):
+    for (i, j), w in zip(ends, weights):
         if y[i] + z[j] == w:
             row_adj[i].append(j)
             col_adj[j].append(i)
@@ -338,9 +344,9 @@ def max_weight_bipartite(graph: Graph) -> Matching:
     # Fix tight edges greedily in index order.  By Mendelsohn-Dulmage, some
     # maximum-weight matching holds every fixed edge exactly when both cover
     # matchings survive losing the fixed edge's two endpoints.
-    chosen: list[Edge] = []
-    for (i, j), edge in zip(ends, graph.edges):
-        if dead_row[i] or dead_col[j] or y[i] + z[j] != edge[2]:
+    chosen: list[int] = []
+    for index, ((i, j), w) in enumerate(zip(ends, weights)):
+        if dead_row[i] or dead_col[j] or y[i] + z[j] != w:
             continue
         dead_row[i] = dead_col[j] = True
         # Only the row that loses column j in a_*, and the column that loses
@@ -364,8 +370,22 @@ def max_weight_bipartite(graph: Graph) -> Matching:
             _flip(a_path, a_row, a_col)
         if b_path:
             _flip(b_path, b_col, b_row)
-        chosen.append(edge)
-    return Matching(tuple(chosen))
+        chosen.append(index)
+    return chosen
+
+
+def max_weight_bipartite(graph: Graph) -> Matching:
+    """Maximum-weight matching in a bipartite graph (not necessarily perfect).
+
+    Ties between equally heavy matchings go to the lexicographically smallest
+    edge-index set; see the module docstring.
+    """
+    num_left = _require_bipartition(graph)
+    # A left vertex keeps its number, a right vertex drops num_left.
+    ends = [(u, v - num_left) if u < num_left else (v, u - num_left) for u, v, _ in graph.edges]
+    weights = [w for _, _, w in graph.edges]
+    chosen = max_weight_pairs(num_left, graph.num_vertices - num_left, ends, weights)
+    return Matching(tuple(graph.edges[k] for k in chosen))
 
 
 def max_weight_general(graph: Graph) -> Matching:

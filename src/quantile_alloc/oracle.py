@@ -28,10 +28,13 @@ from .core import (
     Allocation,
     Instance,
     InvalidInstanceError,
-    _check_allocation,
     bundle_value,
+    esc,
+    esw,
     quantile_index,
     require_objective_kind,
+    usc,
+    usw,
 )
 from .matching import Graph, Matching
 
@@ -116,15 +119,11 @@ def enumerate_allocations(
 
 
 def evaluate(instance: Instance, objective: Objective, allocation: Allocation) -> int:
-    """Objective value of one allocation (sum or min/max of bundle values)."""
-    require_objective_kind(instance, objective)
-    bundles = _check_allocation(instance, allocation)
-    per_agent = [bundle_value(instance, i, b) for i, b in enumerate(bundles)]
-    if objective == "usw" or objective == "usc":
-        return sum(per_agent)
-    if objective == "esw":
-        return min(per_agent)
-    return max(per_agent)
+    """Objective value of one allocation: ``core.usw``, ``esw``, ``usc`` or
+    ``esc``, which check the kind, the length and the owners."""
+    # Looked up per call, so a rebound module name (a tracing wrapper) is used.
+    welfare = {"usw": usw, "esw": esw, "usc": usc, "esc": esc}[objective]
+    return welfare(instance, allocation)
 
 
 def bundle_value_table(

@@ -31,7 +31,7 @@ from .core import (
     usw,
 )
 from .esw_solvers import identical_unbalanced_esw
-from .matching import bipartite_graph, max_weight_bipartite
+from .matching import max_weight_pairs
 
 
 def greedy_balanced_usw(instance: Instance) -> SolveReport:
@@ -80,19 +80,14 @@ def _matching_candidate(instance: Instance, agents: list[int], absorber: int) ->
     """Bundles where ``agents`` each get their maximum-weight matched item and
     ``absorber`` takes everything left over."""
     n, m = instance.n, instance.m
-    edges = [
-        (pos, g, instance.values[j][g]) for pos, j in enumerate(agents) for g in range(m)
-    ]
-    matching = max_weight_bipartite(bipartite_graph(len(agents), m, edges))
-    mate = matching.mate()
+    ends = [(pos, g) for pos in range(len(agents)) for g in range(m)]
+    weights = [w for j in agents for w in instance.values[j]]
     bundles: list[list[int]] = [[] for _ in range(n)]
     taken: set[int] = set()
-    for pos, j in enumerate(agents):
-        partner = mate.get(pos)
-        if partner is not None:
-            g = partner - len(agents)
-            bundles[j] = [g]
-            taken.add(g)
+    for index in max_weight_pairs(len(agents), m, ends, weights):
+        pos, g = ends[index]
+        bundles[agents[pos]] = [g]
+        taken.add(g)
     bundles[absorber].extend(g for g in range(m) if g not in taken)
     return bundles
 

@@ -25,7 +25,6 @@ from quantile_alloc import (
     balanced_esc,
     balanced_esw,
     brute_matching,
-    enumerate_allocations,
     esc_tau0,
     esc_tau1,
     esw,
@@ -55,10 +54,7 @@ def report_line(name: str, ok: bool, detail: str) -> None:
 
 
 def esw_one_exists(instance) -> bool:
-    return any(
-        esw(instance, alloc) >= 1
-        for alloc in enumerate_allocations(instance.n, instance.m)
-    )
+    return opt_welfare(instance, "esw")[0] >= 1
 
 
 def frac_invariant_holds(instance, allocation, t) -> bool:

@@ -189,6 +189,12 @@ class TestSolveCheckRoundTrip:
         alloc_file = write_json(tmp_path / "alloc.json", {"owner": [0, 0, 1, 2]})
         assert main(["check", "-i", inst_file, "-a", alloc_file, "--objective", "usw"]) == 2
 
+    def test_check_rejects_short_allocation(self, tmp_path, capsys):
+        inst_file = write_json(tmp_path / "inst.json", GREEDY_DOC)
+        alloc_file = write_json(tmp_path / "alloc.json", {"owner": [0, 0, 1]})
+        assert main(["check", "-i", inst_file, "-a", alloc_file, "--objective", "usw"]) == 2
+        assert "allocation covers 3 items, instance has 4" in capsys.readouterr().err
+
     def test_check_rejects_unbalanced(self, tmp_path):
         inst_file = write_json(tmp_path / "inst.json", GREEDY_DOC)
         alloc_file = write_json(tmp_path / "alloc.json", {"owner": [0, 0, 0, 1]})

@@ -75,6 +75,10 @@ HAND = [
     ("scapegoat_usw",
      goods(["0/1", "1/1", "1/3"], [[1, 0, 1, 1], [1, 1, 0, 0], [1, 1, 1, 1]]), 3, (1, 2, 0, 0)),
     ("scapegoat_usw", goods(["1/1", "0/1"], [[0, 0, 0, 0], [0, 0, 0, 0]]), 0, (1, 0, 0, 0)),
+    # More agents than items, every value equal: the weighted matcher runs
+    # with the items as rows and only its tie-break decides.
+    ("optimistic_exact_usw", goods(["1/1"] * 4, [[3, 3]] * 4), 6, (0, 1)),
+    ("scapegoat_usw", goods(["1/2"] * 4, [[3, 3]] * 4), 6, (1, 2)),
 ]
 
 
@@ -128,6 +132,32 @@ USW_SEEDED = [
      (2, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1)),
     ("scapegoat_usw", ["0/1", "1/1", "1/3", "1/2"], 4, 3, 30, 2, 6,
      (0, 1, 3)),
+    # More matched agents than items: the weighted matcher's rows are the
+    # items (the smaller side), the transposed orientation.
+    ("optimistic_exact_usw", ["1/1", "1/2", "0/1", "1/3"], 4, 2, 61, 2, 4,
+     (1, 3)),
+    ("optimistic_exact_usw", ["1/1", "1/2", "0/1", "1/3"], 4, 2, 62, 9, 13,
+     (0, 2)),
+    ("optimistic_exact_usw", ["1/1", "1/2", "0/1", "1/3", "2/3"], 5, 3, 63, 2, 4,
+     (0, 1, 2)),
+    ("optimistic_exact_usw", ["1/1", "1/2", "0/1", "1/3", "2/3"], 5, 3, 64, 9, 24,
+     (4, 1, 0)),
+    ("optimistic_exact_usw", ["1/1", "1/2", "0/1", "1/3", "2/3", "1/1", "3/4"], 7, 4, 65, 2, 7,
+     (0, 2, 5, 1)),
+    ("optimistic_exact_usw", ["1/1", "1/2", "0/1", "1/3", "2/3", "1/1", "3/4"], 7, 4, 66, 9, 31,
+     (3, 5, 4, 1)),
+    ("scapegoat_usw", ["0/1", "1/2", "1/1", "1/3"], 4, 2, 67, 2, 3,
+     (3, 1)),
+    ("scapegoat_usw", ["0/1", "1/2", "1/1", "1/3"], 4, 2, 68, 9, 18,
+     (2, 1)),
+    ("scapegoat_usw", ["0/1", "1/2", "1/1", "1/3", "2/3"], 5, 3, 69, 2, 5,
+     (4, 2, 1)),
+    ("scapegoat_usw", ["0/1", "1/2", "1/1", "1/3", "2/3"], 5, 3, 70, 9, 22,
+     (1, 3, 2)),
+    ("scapegoat_usw", ["0/1", "1/2", "1/1", "1/3", "2/3", "1/5", "3/4"], 7, 4, 71, 2, 7,
+     (3, 4, 2, 1)),
+    ("scapegoat_usw", ["0/1", "1/2", "1/1", "1/3", "2/3", "1/5", "3/4"], 7, 4, 72, 9, 31,
+     (2, 1, 5, 0)),
 ]
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import zlib
 
 import pytest
 
@@ -15,6 +16,7 @@ from quantile_alloc import (
     max_weight_bipartite,
     max_weight_general,
 )
+from quantile_alloc.matching import max_weight_pairs, saturating_match
 
 
 class TestGraphValidation:
@@ -240,3 +242,76 @@ class TestAgainstOracle:
                 num_left=base.num_left,
             )
             assert max_cardinality_bipartite(unit).size == max_weight_bipartite(unit).size
+
+
+def shuffled(rng: random.Random, graph: Graph) -> Graph:
+    """The same graph with its edges in random order, half of them written
+    right vertex first."""
+    edges = [(v, u, w) if rng.random() < 0.5 else (u, v, w) for u, v, w in graph.edges]
+    rng.shuffle(edges)
+    return Graph(graph.num_vertices, tuple(edges), graph.num_left)
+
+
+def left_right_pairs(graph: Graph, edges) -> list[tuple[int, int, int]]:
+    """Edges as (left vertex, right index, weight) of a bipartite graph."""
+    nl = graph.num_left
+    return [(u, v - nl, w) if u < nl else (v, u - nl, w) for u, v, w in edges]
+
+
+class TestListLevel:
+    """The list-level cores the solvers call, against the ``Graph`` routines."""
+
+    @pytest.mark.parametrize("max_side", [3, 5, 9])
+    def test_saturating_match_agrees_with_cardinality(self, max_side):
+        seed = zlib.crc32(f"saturating match {max_side}".encode())
+        print(f"seed {seed}")
+        rng = random.Random(seed)
+        for _ in range(300):
+            graph = shuffled(rng, random_bipartite(rng, max_side=max_side, max_edges=3 * max_side))
+            adj: list[list[int]] = [[] for _ in range(graph.num_left)]
+            for u, g, _ in left_right_pairs(graph, graph.edges):
+                adj[u].append(g)
+            for row in adj:
+                row.sort()
+            num_right = graph.num_vertices - graph.num_left
+            match = saturating_match(adj, num_right)
+            reference = max_cardinality_bipartite(graph)
+            if reference.size < graph.num_left:
+                assert match is None
+                continue
+            assert match is not None
+            pairs = {(u, g) for u, g, _ in left_right_pairs(graph, reference.edges)}
+            assert {(u, g) for g, u in enumerate(match) if u != -1} == pairs
+
+    @pytest.mark.parametrize("max_weight", [0, 1, 4, 20])
+    def test_max_weight_pairs_agrees_with_graph_route(self, max_weight):
+        seed = zlib.crc32(f"max weight pairs {max_weight}".encode())
+        print(f"seed {seed}")
+        rng = random.Random(seed)
+        wider_left = 0
+        for _ in range(300):
+            graph = shuffled(rng, random_bipartite(rng, max_side=7, max_weight=max_weight))
+            triples = left_right_pairs(graph, graph.edges)
+            chosen = max_weight_pairs(
+                graph.num_left,
+                graph.num_vertices - graph.num_left,
+                [(u, g) for u, g, _ in triples],
+                [w for _, _, w in triples],
+            )
+            assert tuple(graph.edges[k] for k in chosen) == max_weight_bipartite(graph).edges
+            wider_left += 2 * graph.num_left > graph.num_vertices
+        assert wider_left > 50
+
+    def test_max_weight_pairs_more_left_than_right(self):
+        # Five agents, two items: the items become the Hungarian's rows.
+        rows = [[3, 1], [2, 2], [3, 0], [0, 3], [1, 1]]
+        ends = [(i, g) for i in range(5) for g in range(2)]
+        weights = [w for row in rows for w in row]
+        assert max_weight_pairs(5, 2, ends, weights) == [0, 7]
+        graph = bipartite_graph(5, 2, [(i, g, w) for (i, g), w in zip(ends, weights)])
+        assert max_weight_bipartite(graph).edges == ((0, 5, 3), (3, 6, 3))
+
+    def test_empty_inputs(self):
+        assert max_weight_pairs(0, 3, [], []) == []
+        assert saturating_match([], 2) == [-1, -1]
+        assert saturating_match([[]], 2) is None
