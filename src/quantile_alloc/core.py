@@ -143,6 +143,11 @@ class Instance:
         for row in self.values:
             if len(row) != m:
                 raise InvalidInstanceError("value matrix rows have unequal lengths")
+            # A row of exact ints (bool and other subclasses fail the type
+            # test) is accepted at once; any other row is checked entry by
+            # entry, which names its first bad entry.
+            if {*map(type, row)} <= {int} and min(row) >= 0:
+                continue
             for entry in row:
                 if not isinstance(entry, int) or isinstance(entry, bool) or entry < 0:
                     raise InvalidInstanceError(
@@ -159,7 +164,7 @@ class Instance:
 
     @property
     def is_binary(self) -> bool:
-        return all(entry in (0, 1) for row in self.values for entry in row)
+        return set().union(*self.values) <= {0, 1}
 
     def homogeneous_quantile(self) -> Quantile | None:
         """The shared quantile if all agents agree, else None."""

@@ -3,7 +3,9 @@
 Three routines, all in exact integer arithmetic:
 
 * maximum-cardinality bipartite matching: augmenting paths found by an
-  iterative depth-first search;
+  iterative depth-first search that skips dead right vertices, those whose
+  every alternating continuation is closed off from free vertices (see
+  ``_try_augment``), so it returns the matching of the plain search;
 * maximum-weight bipartite matching: the Hungarian method on the dense
   weight matrix, then a tie-break read off its optimal duals;
 * maximum-weight general matching: the blossom algorithm of networkx, for
@@ -36,6 +38,7 @@ routes meet this contract differently:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -115,6 +118,11 @@ def _require_bipartition(graph: Graph) -> int:
     return graph.num_left
 
 
+#: The ``seen`` mark of a dead right vertex: above every epoch, so one
+#: comparison skips both the vertices of the current epoch and the dead ones.
+_DEAD = sys.maxsize
+
+
 def _try_augment(
     root: int, adj: list[list[int]], match_right: list[int], seen: list[int], epoch: int
 ) -> bool:
@@ -122,11 +130,24 @@ def _try_augment(
 
     ``match_right[v]`` is the left mate of right vertex v, or -1, and is
     updated along the path when one is found.  ``seen[v]`` is the last epoch
-    whose searches reached v.  A failed search changes nothing, and nothing
-    it reached leads to a free vertex, so its marks stay valid for the
-    searches after it until the next augmentation opens a new epoch.  The
-    search is a depth-first search on an explicit stack, so path length is
-    not bounded by the interpreter's recursion limit.
+    whose searches reached v, or ``_DEAD``.  A failed search changes nothing,
+    and nothing it reached leads to a free vertex, so its marks stay valid
+    for the searches after it until the next augmentation opens a new epoch.
+
+    A right vertex v is marked dead, for the rest of the matching, when its
+    search fails and every vertex adjacent to its mate is v itself or dead.
+    The dead vertices then form a closed set: each is matched and its mate's
+    neighbours are all dead, so no augmenting path enters the set, and an
+    augmentation, which changes mates only along its own path, leaves it
+    closed.  Skipping a dead vertex therefore skips a sub-search that could
+    only fail and reach dead vertices, so every search visits the other
+    vertices in the same order and finds the path it found without the
+    marks.  On
+    a chain, where each left vertex's first choice is held by its
+    predecessor, this makes the matching linear instead of quadratic.
+
+    The search is a depth-first search on an explicit stack, so path length
+    is not bounded by the interpreter's recursion limit.
     """
     # stack[d] is the left vertex at depth d with its adjacency cursor;
     # through[d] is the right vertex that led from depth d to depth d + 1.
@@ -135,7 +156,7 @@ def _try_augment(
     while stack:
         u, cursor = stack[-1]
         for v in cursor:
-            if seen[v] == epoch:
+            if seen[v] >= epoch:
                 continue
             seen[v] = epoch
             if match_right[v] == -1:
@@ -149,7 +170,12 @@ def _try_augment(
         else:
             stack.pop()
             if through:
-                through.pop()
+                v = through.pop()
+                for x in adj[u]:
+                    if x != v and seen[x] != _DEAD:
+                        break
+                else:
+                    seen[v] = _DEAD
     return False
 
 

@@ -132,8 +132,10 @@ class TestSolveCommand:
         assert main(["solve", "-i", inst_file, "--objective", "esw", "--algorithm", "frac"]) == 0
 
     def test_long_augmenting_paths(self, tmp_path, capsys):
-        # Agent u values items u-1 and u: the matcher's augmenting paths grow
-        # as long as the instance, far past the interpreter's recursion limit.
+        # Agent u values items u-1 and u: each agent's first choice is held by
+        # its predecessor, so a matcher that walks the whole chain from every
+        # agent takes quadratic time.  The augmenting paths stay short; the
+        # long ones are in test_matching.py::TestDeadVertices.
         n = 1200
         values = [[1 if g in (u - 1, u) else 0 for g in range(n)] for u in range(n)]
         doc = {"kind": "goods", "agents": n, "items": n, "quantiles": ["1/1"] * n, "values": values}

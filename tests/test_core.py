@@ -4,6 +4,7 @@ aggregation, and the binary threshold reduction."""
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -272,6 +273,29 @@ class TestValidation:
     def test_negative_entries(self):
         with pytest.raises(InvalidInstanceError):
             goods(["1/2"], [[-1, 2]])
+
+    @pytest.mark.parametrize(
+        "rows, bad",
+        [
+            ([[0, 1], [1, True]], "True"),
+            ([[0, 1.0], [-1, 0]], "1.0"),
+            ([[0, 1], [-1, 2.5]], "-1"),
+            ([[0, "1"], [0, 0]], "'1'"),
+        ],
+    )
+    def test_message_names_first_bad_entry(self, rows, bad):
+        # bool is an int subclass, but a truth value is not a valuation.
+        message = f"matrix entries must be non-negative integers, got {bad}"
+        with pytest.raises(InvalidInstanceError, match=f"^{re.escape(message)}$"):
+            goods(["1/2", "1/2"], rows)
+
+    def test_int_subclass_entries_accepted(self):
+        class Level(int):
+            pass
+
+        inst = goods(["1/2"], [[Level(1), 0, Level(0)]])
+        assert inst.is_binary
+        assert not goods(["1/2"], [[Level(2), 0]]).is_binary
 
     def test_quantile_count_mismatch(self):
         with pytest.raises(InvalidInstanceError):

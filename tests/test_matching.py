@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 import zlib
 
 import pytest
@@ -315,3 +316,183 @@ class TestListLevel:
         assert max_weight_pairs(0, 3, [], []) == []
         assert saturating_match([], 2) == [-1, -1]
         assert saturating_match([[]], 2) is None
+
+
+def reference_try_augment(
+    root: int, adj: list[list[int]], match_right: list[int], seen: list[int], epoch: int
+) -> bool:
+    """The augmenting search before dead vertices, kept verbatim as the
+    reference: every search it runs must find the same path."""
+    # stack[d] is the left vertex at depth d with its adjacency cursor;
+    # through[d] is the right vertex that led from depth d to depth d + 1.
+    stack = [(root, iter(adj[root]))]
+    through: list[int] = []
+    while stack:
+        u, cursor = stack[-1]
+        for v in cursor:
+            if seen[v] == epoch:
+                continue
+            seen[v] = epoch
+            if match_right[v] == -1:
+                match_right[v] = u
+                for (w, _), x in zip(stack, through):
+                    match_right[x] = w
+                return True
+            through.append(v)
+            stack.append((match_right[v], iter(adj[match_right[v]])))
+            break
+        else:
+            stack.pop()
+            if through:
+                through.pop()
+    return False
+
+
+def reference_match(adj: list[list[int]], num_right: int, saturate: bool) -> list[int] | None:
+    """Right vertices' left mates from ``reference_try_augment`` over roots in
+    order, as ``saturating_match`` (``saturate``: None at the first failing
+    root) or ``max_cardinality_bipartite`` (skip failing roots) run it."""
+    match_right = [-1] * num_right
+    seen = [-1] * num_right
+    epoch = 0
+    for root in range(len(adj)):
+        if reference_try_augment(root, adj, match_right, seen, epoch):
+            epoch += 1
+        elif saturate:
+            return None
+    return match_right
+
+
+def assert_matches_reference(adj: list[list[int]], num_right: int) -> bool:
+    """``saturating_match`` on ``adj`` and ``max_cardinality_bipartite`` on
+    its graph give the reference's matching, edge for edge.  Returns whether
+    every left vertex was covered."""
+    saturated = saturating_match(adj, num_right)
+    assert saturated == reference_match(adj, num_right, saturate=True)
+    num_left = len(adj)
+    graph = bipartite_graph(
+        num_left, num_right, sorted({(u, g, 1) for u, row in enumerate(adj) for g in row})
+    )
+    # The Graph route scans each left vertex's neighbours in ascending order.
+    mates = reference_match([sorted(set(row)) for row in adj], num_right, saturate=False)
+    expected = tuple(e for e in graph.edges if mates[e[1] - num_left] == e[0])
+    assert max_cardinality_bipartite(graph).edges == expected
+    return saturated is not None
+
+
+def chain(n: int) -> list[list[int]]:
+    """Left vertex u's first choice is u - 1, held by its predecessor."""
+    return [[u - 1, u] if u else [0] for u in range(n)]
+
+
+class CountingList(list):
+    """A list that adds one to ``tally[0]`` for each item iterated out of it."""
+
+    def __init__(self, items, tally: list[int]):
+        super().__init__(items)
+        self.tally = tally
+
+    def __iter__(self):
+        for item in super().__iter__():
+            self.tally[0] += 1
+            yield item
+
+
+class TestDeadVertices:
+    """The augmenting search skips right vertices that can never lead to a
+    free vertex again, and must still find the reference's every path."""
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_random_sparse_graphs(self, case):
+        seed = zlib.crc32(f"dead vertices sparse {case}".encode())
+        print(f"seed {seed}")
+        rng = random.Random(seed)
+        saturated = 0
+        for _ in range(60):
+            total = rng.randint(50, 300)
+            num_left = rng.randint(total // 4, total // 2)
+            num_right = total - num_left
+            # A planted item makes some draws saturate; the rest contend.
+            planted = rng.sample(range(num_right), num_left)
+            adj = []
+            for u in range(num_left):
+                row = rng.sample(range(num_right), rng.randint(1, 3))
+                if rng.random() < 0.9 and planted[u] not in row:
+                    row[rng.randrange(len(row))] = planted[u]
+                adj.append(row)
+            saturated += assert_matches_reference(adj, num_right)
+        assert 0 < saturated < 60
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_copies_adjacency(self, case):
+        # The copies-to-items decider repeats one list object per copy of an
+        # agent; here two agents also share one object.
+        seed = zlib.crc32(f"dead vertices copies {case}".encode())
+        print(f"seed {seed}")
+        rng = random.Random(seed)
+        saturated = 0
+        for _ in range(100):
+            n, k = rng.randint(2, 12), rng.randint(1, 4)
+            m = n * k
+            lists = [sorted(rng.sample(range(m), rng.randint(1, m))) for _ in range(n)]
+            lists[1] = lists[0]
+            adj = [lists[i] for i in range(n) for _ in range(k)]
+            saturated += assert_matches_reference(adj, m)
+        assert 0 < saturated < 100
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, 301])
+    def test_chains(self, n):
+        assert assert_matches_reference(chain(n), n)
+        # Reversed: the first choices are free until the last vertex, whose
+        # augmenting path runs back down the whole chain.
+        reversed_chain = [[u + 1, u] if u < n - 1 else [u] for u in range(n)]
+        assert assert_matches_reference(reversed_chain, n)
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_chains_with_extra_edges(self, case):
+        seed = zlib.crc32(f"dead vertices chains {case}".encode())
+        print(f"seed {seed}")
+        rng = random.Random(seed)
+        for _ in range(40):
+            n = rng.randint(20, 200)
+            adj = chain(n) if rng.random() < 0.5 else [row[::-1] for row in chain(n)]
+            for _ in range(rng.randint(1, n // 4)):
+                row = adj[rng.randrange(n)]
+                extra = rng.randrange(n + 2)
+                if extra not in row:
+                    row.insert(rng.randint(0, len(row)), extra)
+            assert_matches_reference(adj, n + 2)
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_failing_roots(self, case):
+        # More left vertices than right ones, so many roots fail, and
+        # max_cardinality_bipartite goes on past them.
+        seed = zlib.crc32(f"dead vertices failing roots {case}".encode())
+        print(f"seed {seed}")
+        rng = random.Random(seed)
+        for _ in range(80):
+            num_right = rng.randint(5, 60)
+            num_left = num_right + rng.randint(1, num_right)
+            adj = [
+                rng.sample(range(num_right), rng.randint(1, min(3, num_right)))
+                for _ in range(num_left)
+            ]
+            assert not assert_matches_reference(adj, num_right)
+
+    def test_chain_work_is_linear(self):
+        # Each root scans its predecessor's item, finds it dead after one
+        # short search, and takes its own: about 6 items scanned per root.
+        # Without the dead marks every search walks the whole chain (n**2).
+        n = 2000
+        tally = [0]
+        adj = [CountingList(row, tally) for row in chain(n)]
+        assert saturating_match(adj, n) == list(range(n))
+        assert tally[0] <= 8 * n
+
+    def test_long_augmenting_path(self):
+        # Every left vertex takes its first choice until the last one, whose
+        # only item starts an augmenting path through all n vertices.
+        n = 5000
+        assert n > sys.getrecursionlimit()
+        adj = [[u, u + 1] for u in range(n - 1)] + [[0]]
+        assert saturating_match(adj, n) == [n - 1, *range(n - 1)]
