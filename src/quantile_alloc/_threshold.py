@@ -3,41 +3,58 @@
 Egalitarian welfare >= nu (goods) or cost <= nu - 1 (chores) under integer
 values holds iff the instance rewritten by ``threshold_binary`` at nu admits
 welfare 1 or cost 0.  So every exact egalitarian solver is one binary search
-over candidate levels followed by one binary decision.  The search asks a
-*probe*, a yes/no test of a level read off structures built once from the
-original values (for matching deciders, each agent's items sorted by value,
-so a level is one bisect per agent), which builds no rewritten instance;
-only the 1/3 and identical-valuation deciders still probe by deciding.
-The decider then runs once, on ``threshold_binary`` at the boundary level
-nu*, and its allocation is the report.  That is the allocation a search
-over decider calls would keep, because the last feasible probe of a
-monotone binary search is the boundary.  The balanced solvers of both kinds
-share one copies-to-items matching decider and its probe.
+over candidate levels followed by one decision.  Nothing is rewritten: a
+*level decider* ``decide(instance, nu)`` reads the good entries of the
+rewritten instance straight off the original values (value >= nu for goods,
+disutility < nu for chores) and returns an allocation reaching the level,
+or None.  The search asks a *probe*, a yes/no test of a level read off
+structures built once from the original values (for matching deciders,
+each agent's items sorted by value, so a level is one bisect per agent);
+only the 1/3 and identical-valuation deciders probe by deciding.  The
+decider then runs once, at the boundary level nu*, and its allocation is
+the report.  That is the allocation a search over decider calls would keep,
+because the last feasible probe of a monotone binary search is the
+boundary.  The public binary deciders run a level decider at level 1 and
+are the only place a ``feasible`` flag is reported.  The balanced solvers
+of both kinds share one copies-to-items matching decider and its probe.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import compress
 from typing import Callable
 
 from ._construct import all_to_first, balanced_blocks, owner_from_bundles, round_robin_pad
 from .core import (
     GOODS,
+    Allocation,
     Instance,
     InvalidInstanceError,
     SolveReport,
     demand_quota,
     esc,
     esw,
-    threshold_binary,
+    require_objective_kind,
 )
 from .matching import saturating_match
 
-BinaryDecider = Callable[[Instance], SolveReport]
-#: Whether a level is feasible: the decider's verdict on ``threshold_binary``
-#: at that level, computed where possible without the rewritten instance.
+#: An allocation in which every agent reaches the level (goods: value >= nu;
+#: chores: cost <= nu - 1), or None when there is none.
+LevelDecider = Callable[[Instance, int], "Allocation | None"]
+#: Whether a level is feasible: the level decider's verdict, computed where
+#: possible without deciding.
 Probe = Callable[[int], bool]
 ProbeFactory = Callable[[Instance], Probe]
+
+
+def good_entries(instance: Instance, nu: int) -> list[list[int]]:
+    """Per agent, in ascending index order, the items at the good entry of
+    ``threshold_binary`` at level nu: value >= nu for goods, disutility < nu
+    for chores."""
+    good = nu.__le__ if instance.kind == GOODS else nu.__gt__
+    items = range(instance.m)
+    return [list(compress(items, map(good, row))) for row in instance.values]
 
 
 def level_adjacency(instance: Instance) -> Callable[[int], list[list[int]]]:
@@ -60,30 +77,29 @@ def level_adjacency(instance: Instance) -> Callable[[int], list[list[int]]]:
     return prefixes
 
 
-def decider_probe(decider: BinaryDecider) -> tuple[BinaryDecider, ProbeFactory]:
+def decider_probe(decider: LevelDecider) -> tuple[LevelDecider, ProbeFactory]:
     """The probe of a decider with no cheaper test: its verdict at each level.
 
-    Returns the decider, wrapped to hand back the report of the last
-    feasible probe when asked to decide that same rewritten instance, so the
-    boundary level is not decided twice, and the probe factory.  Make one
-    pair per search.
+    Returns the decider, wrapped to hand back the allocation of the last
+    feasible probe when asked to decide that same level, so the boundary
+    level is not decided twice, and the probe factory.  Make one pair per
+    search.
     """
-    kept: list[tuple[Instance, SolveReport]] = []
+    kept: list[tuple[int, Allocation]] = []
 
     def probe_for(instance: Instance) -> Probe:
         def probe(nu: int) -> bool:
-            binary = threshold_binary(instance, nu)
-            report = decider(binary)
-            if report.feasible:
-                kept[:] = [(binary, report)]
-            return report.feasible
+            allocation = decider(instance, nu)
+            if allocation is not None:
+                kept[:] = [(nu, allocation)]
+            return allocation is not None
 
         return probe
 
-    def decide(binary: Instance) -> SolveReport:
-        if kept and kept[0][0] == binary:
+    def decide(instance: Instance, nu: int) -> Allocation | None:
+        if kept and kept[0][0] == nu:
             return kept[0][1]
-        return decider(binary)
+        return decider(instance, nu)
 
     return decide, probe_for
 
@@ -94,51 +110,33 @@ def _copies(items: list[list[int]], quotas: list[int]) -> list[list[int]]:
     return [row for row, quota in zip(items, quotas) for _ in range(quota)]
 
 
-def copies_decider(instance: Instance) -> SolveReport:
-    """Decide whether a balanced allocation can give every agent value 1
-    (goods) or cost 0 (chores) on a binary instance.
+def copies_decider(instance: Instance, nu: int) -> Allocation | None:
+    """A balanced allocation giving every agent value >= nu (goods) or cost
+    <= nu - 1 (chores), or None.
 
     Each agent i gets min(k, k - ceil(tau_i k) + 1) copy-vertices; copies are
-    matched to distinct items the agent holds at the good entry (1 for goods,
-    0 for chores).  Saturating every copy is necessary and sufficient, and
-    matched bundles keep their quantile at the good entry under any padding
-    to k items.
+    matched to distinct items at the agent's good entry.  Saturating every
+    copy is necessary and sufficient, and matched bundles keep their quantile
+    at the good entry under any padding to k items.
     """
-    if instance.kind == GOODS:
-        good, objective, algorithm = 1, esw, "balanced_esw_binary"
-    else:
-        good, objective, algorithm = 0, esc, "balanced_esc_binary"
-    if not instance.is_binary:
-        raise InvalidInstanceError("entries must be binary")
     k = instance.items_per_agent()
     n, m = instance.n, instance.m
     quotas = [demand_quota(q, k) for q in instance.quantiles]
-    items = [[g for g, entry in enumerate(row) if entry == good] for row in instance.values]
-    copy_of_item = saturating_match(_copies(items, quotas), m)
-
-    if copy_of_item is not None:
-        copy_agent = [i for i, quota in enumerate(quotas) for _ in range(quota)]
-        bundles: list[list[int]] = [[] for _ in range(n)]
-        for g, c in enumerate(copy_of_item):
-            if c != -1:
-                bundles[copy_agent[c]].append(g)
-        round_robin_pad(bundles, [g for g, c in enumerate(copy_of_item) if c == -1], k)
-        allocation = owner_from_bundles(bundles, m)
-        feasible = True
-    else:
-        allocation = balanced_blocks(n, m)
-        feasible = False
-    return SolveReport(
-        allocation=allocation,
-        welfare=objective(instance, allocation),
-        algorithm=algorithm,
-        feasible=feasible,
-    )
+    copy_of_item = saturating_match(_copies(good_entries(instance, nu), quotas), m)
+    if copy_of_item is None:
+        return None
+    copy_agent = [i for i, quota in enumerate(quotas) for _ in range(quota)]
+    bundles: list[list[int]] = [[] for _ in range(n)]
+    for g, c in enumerate(copy_of_item):
+        if c != -1:
+            bundles[copy_agent[c]].append(g)
+    round_robin_pad(bundles, [g for g, c in enumerate(copy_of_item) if c == -1], k)
+    return owner_from_bundles(bundles, m)
 
 
 def copies_probe(instance: Instance) -> Probe:
     """Probe of ``copies_decider``: the same matching on each agent's items
-    at the level."""
+    at the level, taken from ``level_adjacency``."""
     k = instance.items_per_agent()
     quotas = [demand_quota(q, k) for q in instance.quantiles]
     adjacency = level_adjacency(instance)
@@ -149,22 +147,54 @@ def candidate_levels(instance: Instance) -> list[int]:
     """The levels the threshold search chooses among, ascending: the distinct
     positive values for goods; for chores 1 and d + 1 for every distinct
     positive disutility d (cost <= 0 or <= d)."""
-    values = sorted({entry for row in instance.values for entry in row if entry > 0})
+    values = sorted(set().union(*instance.values) - {0})
     if instance.kind == GOODS:
         return values
     return [1] + [d + 1 for d in values]
 
 
+def fallback(instance: Instance, balanced: bool) -> Allocation:
+    """The allocation reported when no level is reached: consecutive blocks
+    of m/n items, or every item to agent 0."""
+    return balanced_blocks(instance.n, instance.m) if balanced else all_to_first(instance.m)
+
+
+def _report(
+    instance: Instance, allocation: Allocation, algorithm: str, feasible: bool = True
+) -> SolveReport:
+    objective = esw if instance.kind == GOODS else esc
+    return SolveReport(allocation, objective(instance, allocation), algorithm, feasible)
+
+
+def require_binary(instance: Instance, objective: str) -> None:
+    """The first two checks of every public binary decider: the objective's
+    kind, then 0/1 entries."""
+    require_objective_kind(instance, objective)
+    if not instance.is_binary:
+        raise InvalidInstanceError("entries must be binary")
+
+
+def binary_report(
+    instance: Instance, decider: LevelDecider, algorithm: str, balanced: bool
+) -> SolveReport:
+    """A public binary decider's report: the level decider at level 1 on a
+    binary instance, or the fallback allocation with ``feasible=False``."""
+    allocation = decider(instance, 1)
+    if allocation is None:
+        return _report(instance, fallback(instance, balanced), algorithm, feasible=False)
+    return _report(instance, allocation, algorithm)
+
+
 def threshold_search(
     instance: Instance,
-    decider: BinaryDecider,
+    decider: LevelDecider,
     probe_for: ProbeFactory,
     algorithm: str,
     balanced: bool,
 ) -> SolveReport:
     """Exact egalitarian optimum: binary-search the levels with
     ``probe_for(instance)`` for the boundary level nu*, run the decider once
-    at nu*, and report its allocation with the objective recomputed on the
+    at nu*, and report its allocation with the objective computed on the
     original values under ``algorithm``.
 
     The feasible goods levels are a prefix of ``candidate_levels``, so the
@@ -175,12 +205,10 @@ def threshold_search(
     chores level is always feasible.
     """
     thresholds = candidate_levels(instance)
-    objective, upward = (esw, True) if instance.kind == GOODS else (esc, False)
-    best: SolveReport | None = None
+    upward = instance.kind == GOODS
+    allocation: Allocation | None = None
     if len(thresholds) == 1:
-        report = decider(threshold_binary(instance, thresholds[0]))
-        if report.feasible:
-            best = report
+        allocation = decider(instance, thresholds[0])
     elif thresholds:
         probe = probe_for(instance)
         boundary: int | None = None
@@ -195,18 +223,10 @@ def threshold_search(
             else:
                 hi = mid - 1
         if boundary is not None:
-            best = decider(threshold_binary(instance, boundary))
-            assert best.feasible, f"probe and decider disagree at level {boundary}"
+            allocation = decider(instance, boundary)
+            assert allocation is not None, f"probe and decider disagree at level {boundary}"
 
-    assert best is not None or upward, "maximum disutility level must be feasible"
-    if best is not None:
-        allocation = best.allocation
-    elif balanced:
-        allocation = balanced_blocks(instance.n, instance.m)
-    else:
-        allocation = all_to_first(instance.m)
-    return SolveReport(
-        allocation=allocation,
-        welfare=objective(instance, allocation),
-        algorithm=algorithm,
-    )
+    assert allocation is not None or upward, "maximum disutility level must be feasible"
+    if allocation is None:
+        allocation = fallback(instance, balanced)
+    return _report(instance, allocation, algorithm)

@@ -11,8 +11,9 @@ Egalitarian cost rides the goods machinery with the threshold reversed:
 cost <= nu - 1 under the original disutilities iff cost 0 after rewriting
 every disutility to 1-if->=nu-else-0, so the one threshold search of
 ``_threshold.py`` minimizes over candidate cost levels here instead of
-maximizing.  At the extreme quantiles the probe of a level is a closed
-form in the disutilities, so the search builds no rewritten instance.
+maximizing.  Its level deciders read the chores costing less than nu
+straight off the disutilities, and at the extreme quantiles the probe of a
+level is a closed form in them, so no rewritten instance is built.
 
 Note (observation, not an operation): a minimum egalitarian-cost balanced
 allocation keeps every agent's bundle cost at most the largest single
@@ -23,13 +24,20 @@ only; no solver relies on it.
 
 from __future__ import annotations
 
-from ._construct import all_to_first, owner_from_bundles
-from ._threshold import Probe, copies_decider, copies_probe, threshold_search
+from ._construct import owner_from_bundles
+from ._threshold import (
+    Probe,
+    binary_report,
+    copies_decider,
+    copies_probe,
+    require_binary,
+    threshold_search,
+)
 from .core import (
+    Allocation,
     Instance,
     IntractableQuantileError,
     SolveReport,
-    esc,
     require_objective_kind,
     usc,
 )
@@ -39,8 +47,8 @@ def balanced_esc_binary(instance: Instance) -> SolveReport:
     """Decide whether a balanced allocation can give every agent cost 0, by
     the copies-to-items matching of the balanced goods decision with copies
     connected to the chores the agent finds costless."""
-    require_objective_kind(instance, "esc")
-    return copies_decider(instance)
+    require_binary(instance, "esc")
+    return binary_report(instance, copies_decider, "balanced_esc_binary", balanced=True)
 
 
 def balanced_esc(instance: Instance) -> SolveReport:
@@ -48,9 +56,7 @@ def balanced_esc(instance: Instance) -> SolveReport:
     quantiles, via threshold search over the matching decision."""
     require_objective_kind(instance, "esc")
     instance.items_per_agent()
-    return threshold_search(
-        instance, balanced_esc_binary, copies_probe, "balanced_esc", balanced=True
-    )
+    return threshold_search(instance, copies_decider, copies_probe, "balanced_esc", balanced=True)
 
 
 def usc_tau0_setcover(instance: Instance) -> SolveReport:
@@ -108,35 +114,24 @@ def usc_tau0_setcover(instance: Instance) -> SolveReport:
     )
 
 
-def _esc_tau0_binary(instance: Instance) -> SolveReport:
-    """Pessimists and binary chores: cost 0 iff no chore is a universal bad;
-    then every chore can go to the first agent who finds it costless."""
-    algorithm = "esc_tau0"
-    n, m = instance.n, instance.m
-    owner: list[int] = []
-    for g in range(m):
-        holders = [i for i in range(n) if instance.values[i][g] == 0]
-        if not holders:
-            allocation = all_to_first(m)
-            return SolveReport(allocation, esc(instance, allocation), algorithm, feasible=False)
-        owner.append(holders[0])
-    allocation = owner_from_bundles([[g for g in range(m) if owner[g] == i] for i in range(n)], m)
-    return SolveReport(allocation, esc(instance, allocation), algorithm, feasible=True)
+def _esc_tau0_binary(instance: Instance, nu: int) -> Allocation | None:
+    """Pessimists: cost <= nu - 1 iff every chore costs someone less than
+    nu; then every chore goes to the first such agent."""
+    columns = zip(*instance.values)
+    owner = [next((i for i, d in enumerate(column) if d < nu), -1) for column in columns]
+    return None if -1 in owner else Allocation(tuple(owner))
 
 
-def _esc_tau1_binary(instance: Instance) -> SolveReport:
-    """Optimists and binary chores: cost 0 iff some agent has a costless
-    chore; that agent swallows all of them and everyone else takes nothing."""
-    algorithm = "esc_tau1"
+def _esc_tau1_binary(instance: Instance, nu: int) -> Allocation | None:
+    """Optimists: cost <= nu - 1 iff some agent has a chore costing less than
+    nu; that agent swallows all of them and everyone else takes nothing."""
     n, m = instance.n, instance.m
-    for i in range(n):
-        if any(instance.values[i][g] == 0 for g in range(m)):
+    for i, row in enumerate(instance.values):
+        if min(row) < nu:
             bundles: list[list[int]] = [[] for _ in range(n)]
             bundles[i] = list(range(m))
-            allocation = owner_from_bundles(bundles, m)
-            return SolveReport(allocation, esc(instance, allocation), algorithm, feasible=True)
-    allocation = all_to_first(m)
-    return SolveReport(allocation, esc(instance, allocation), algorithm, feasible=False)
+            return owner_from_bundles(bundles, m)
+    return None
 
 
 def _esc_tau0_probe(instance: Instance) -> Probe:

@@ -413,17 +413,24 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     print(header)
     for row in rows:
         print(row.to_csv())
-    if rows:
-        ratios = [row.ratio for row in rows]
-        mean = sum(ratios, Fraction(0)) / len(ratios)
-        print(
-            f"summary,{args.algorithm},{args.objective},{args.balanced},,,,"
-            f"{_render_ratio(min(ratios))},{_render_ratio(mean)}"
-        )
+    ratios = [row.ratio for row in rows]
+    mean = sum(ratios, Fraction(0)) / len(ratios)
+    print(
+        f"summary,{args.algorithm},{args.objective},{args.balanced},,,,"
+        f"{_render_ratio(min(ratios))},{_render_ratio(mean)}"
+    )
     return 0
 
 
 # ---------------------------------------------------------------- parser
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of a count flag, so a count below 1 exits 2."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _add_instance_arg(parser: argparse.ArgumentParser) -> None:
@@ -475,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_arg(p_oracle)
     _add_output_arg(p_oracle)
     _add_objective_args(p_oracle)
-    p_oracle.add_argument("--max-allocations", type=int, default=10_000_000)
+    p_oracle.add_argument("--max-allocations", type=_positive_int, default=10_000_000)
     p_oracle.set_defaults(func=_cmd_oracle)
 
     p_gen = sub.add_parser("gen", help="seeded deterministic instance generator")
@@ -498,8 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_gen_args(p_bench, required=True)
     _add_objective_args(p_bench)
     p_bench.add_argument("--algorithm", choices=ALGORITHMS, default="auto")
-    p_bench.add_argument("--trials", type=int, required=True)
-    p_bench.add_argument("--max-allocations", type=int, default=10_000_000)
+    p_bench.add_argument("--trials", type=_positive_int, required=True)
+    p_bench.add_argument("--max-allocations", type=_positive_int, default=10_000_000)
     p_bench.set_defaults(func=_cmd_bench)
 
     p_check = sub.add_parser("check", help="recompute an allocation's objective value")

@@ -137,6 +137,9 @@ class Instance:
             raise InvalidInstanceError("instance needs at least one agent")
         if len(self.quantiles) != n:
             raise InvalidInstanceError("one quantile per agent required")
+        for q in self.quantiles:
+            if not isinstance(q, Quantile):
+                raise InvalidInstanceError(f"quantiles must be Quantile objects, got {q!r}")
         m = len(self.values[0])
         if m < 1:
             raise InvalidInstanceError("instance needs at least one item")
@@ -321,7 +324,7 @@ def threshold_binary(instance: Instance, nu: int) -> Instance:
     reduction is equivalent to cost <= nu - 1 originally.  Kind and
     quantiles are preserved.
     """
-    if nu < 1:
+    if not isinstance(nu, int) or isinstance(nu, bool) or nu < 1:
         raise InvalidInstanceError("threshold level must be a positive integer")
     return Instance(
         kind=instance.kind,

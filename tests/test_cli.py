@@ -363,6 +363,29 @@ class TestBenchCommand:
         assert float(summary[7]) >= 2 / 3 - 1e-9
 
 
+    @pytest.mark.parametrize("trials", ["0", "-3", "two"])
+    def test_nonpositive_trials_exit_two(self, capsys, trials):
+        code = main([
+            "bench", "--trials", trials, "--agents", "2", "--items", "4", "--objective", "usw",
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--trials" in captured.err
+
+    @pytest.mark.parametrize("command", ["bench", "oracle"])
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_nonpositive_budget_exit_two(self, tmp_path, capsys, command, budget):
+        if command == "bench":
+            args = ["bench", "--trials", "1", "--agents", "2", "--items", "4"]
+        else:
+            args = ["oracle", "-i", write_json(tmp_path / "inst.json", GREEDY_DOC)]
+        assert main([*args, "--objective", "usw", "--max-allocations", budget]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--max-allocations" in captured.err
+
+
 class TestCheckBound:
     # H_3 = 11/6, so an optimum of 6 allows a set-cover cost of exactly 11.
     INSTANCE = chores(["0/1"] * 2, [[1, 2, 3], [3, 2, 1]])

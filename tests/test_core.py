@@ -245,6 +245,10 @@ class TestThresholdBinary:
     def test_rejects_nonpositive_level(self):
         with pytest.raises(InvalidInstanceError):
             threshold_binary(goods(["1/2"], [[1]]), 0)
+        # Levels are integers: a float or a truth value is not one.
+        for level in (1.5, 1.0, True):
+            with pytest.raises(InvalidInstanceError, match="positive integer"):
+                threshold_binary(goods(["1/2"], [[1]]), level)
 
     @given(seed=st.integers(0, 10**6), nu=st.integers(1, 10))
     @settings(max_examples=300)
@@ -273,6 +277,13 @@ class TestValidation:
     def test_negative_entries(self):
         with pytest.raises(InvalidInstanceError):
             goods(["1/2"], [[-1, 2]])
+
+    @pytest.mark.parametrize("quantile", ["1/2", 0.5, (1, 2), None])
+    def test_non_quantile_quantiles(self, quantile):
+        # make_instance parses "p/q" strings; the dataclass itself takes only
+        # Quantile objects, instead of failing later inside a solver.
+        with pytest.raises(InvalidInstanceError, match="quantiles must be Quantile objects"):
+            Instance("goods", (quantile,), ((1, 2),))
 
     @pytest.mark.parametrize(
         "rows, bad",

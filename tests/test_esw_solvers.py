@@ -29,7 +29,7 @@ from quantile_alloc import (
     unbalanced_esw_binary_tau1,
     unbalanced_esw_binary_third,
 )
-from quantile_alloc.esw_solvers import binary_esw_decider_for
+from quantile_alloc.esw_solvers import _esw_search_for, _frac_decider, _tau0_decider, _tau1_decider
 
 
 def oracle_esw_one_exists(instance: Instance) -> bool:
@@ -248,12 +248,12 @@ class TestUnbalancedDispatcher:
         assert unbalanced_esw(inst).welfare == 7
 
     def test_decider_families(self):
-        assert binary_esw_decider_for(Quantile(0, 1)) is unbalanced_esw_binary_tau0
-        assert binary_esw_decider_for(Quantile(1, 1)) is unbalanced_esw_binary_tau1
-        assert binary_esw_decider_for(Quantile(1, 3)) is unbalanced_esw_binary_third
-        assert binary_esw_decider_for(Quantile(9, 10)) is not None
+        assert _esw_search_for(Quantile(0, 1))[0] is _tau0_decider
+        assert _esw_search_for(Quantile(1, 1))[0] is _tau1_decider
+        assert _esw_search_for(Quantile(1, 3))[0] is not None
+        assert _esw_search_for(Quantile(9, 10))[0] is _frac_decider
         with pytest.raises(IntractableQuantileError):
-            binary_esw_decider_for(Quantile(2, 5))
+            _esw_search_for(Quantile(2, 5))
 
     @pytest.mark.parametrize("tau", ["0/1", "1/3", "1/2", "2/3", "3/4", "1/1"])
     def test_matches_oracle_general_values(self, tau):

@@ -1,6 +1,7 @@
-"""The threshold search: every probe agrees with its decider, a one-level
-search builds no probe, and the identical-valuation DP splits the worthless
-items as a plain reference does."""
+"""The threshold search: every probe agrees with its level decider, which
+decides the original values at a level as the rewritten instance at level 1,
+a one-level search builds no probe, and the identical-valuation DP splits
+the worthless items as a plain reference does."""
 
 from __future__ import annotations
 
@@ -12,8 +13,10 @@ import pytest
 from helpers import ALL_TAUS, random_instance
 from quantile_alloc._threshold import (
     candidate_levels,
+    copies_decider,
     copies_probe,
     decider_probe,
+    fallback,
     threshold_search,
 )
 from quantile_alloc.chores_solvers import (
@@ -27,36 +30,55 @@ from quantile_alloc.core import Quantile, goods, threshold_binary
 from quantile_alloc.esw_solvers import (
     _esw_search_for,
     _identical_binary_esw,
+    _tau1_decider,
     balanced_esw,
     balanced_esw_binary,
-    binary_esw_decider_for,
     unbalanced_esw,
+    unbalanced_esw_binary_frac,
+    unbalanced_esw_binary_tau0,
     unbalanced_esw_binary_tau1,
+    unbalanced_esw_binary_third,
 )
 
 UNBALANCED_TAUS = ["0/1", "1/1", "1/2", "2/3", "3/4", "1/3"]
 IDENTICAL_TAUS = ["0/1", "1/1", "1/2", "2/3", "3/4", "1/3", "2/5"]
 
-# name -> (kind, balanced, identical, quantile pool, decider, probe factory
-# maker).  A balanced family draws mixed quantiles from the pool, the others
-# one quantile for every agent.  The maker is called once per instance, since
-# a decider-backed probe belongs to one search.
+# The public binary decider of each unbalanced goods quantile.
+PUBLIC_BINARY = {
+    "0/1": unbalanced_esw_binary_tau0,
+    "1/1": unbalanced_esw_binary_tau1,
+    "1/3": unbalanced_esw_binary_third,
+    "1/2": lambda inst: unbalanced_esw_binary_frac(inst, 1),
+    "2/3": lambda inst: unbalanced_esw_binary_frac(inst, 2),
+    "3/4": lambda inst: unbalanced_esw_binary_frac(inst, 3),
+}
+
+# name -> (kind, balanced, identical, quantile pool, level decider, probe
+# factory maker, public binary decider or None).  A balanced family draws
+# mixed quantiles from the pool, the others one quantile for every agent.
+# The maker is called once per instance, since a decider-backed probe
+# belongs to one search.
 FAMILIES = {
-    "balanced_esw": ("goods", True, False, ALL_TAUS, balanced_esw_binary, lambda: copies_probe),
-    "balanced_esc": ("chores", True, False, ALL_TAUS, balanced_esc_binary, lambda: copies_probe),
+    "balanced_esw": (
+        "goods", True, False, ALL_TAUS, copies_decider, lambda: copies_probe, balanced_esw_binary
+    ),
+    "balanced_esc": (
+        "chores", True, False, ALL_TAUS, copies_decider, lambda: copies_probe, balanced_esc_binary
+    ),
     **{
         f"unbalanced_esw {tau}": (
             "goods",
             False,
             False,
             [tau],
-            binary_esw_decider_for(Quantile.parse(tau)),
+            _esw_search_for(Quantile.parse(tau))[0],
             lambda tau=tau: _esw_search_for(Quantile.parse(tau))[1],
+            PUBLIC_BINARY[tau],
         )
         for tau in UNBALANCED_TAUS
     },
-    "esc_tau0": ("chores", False, False, ["0/1"], _esc_tau0_binary, lambda: _esc_tau0_probe),
-    "esc_tau1": ("chores", False, False, ["1/1"], _esc_tau1_binary, lambda: _esc_tau1_probe),
+    "esc_tau0": ("chores", False, False, ["0/1"], _esc_tau0_binary, lambda: _esc_tau0_probe, None),
+    "esc_tau1": ("chores", False, False, ["1/1"], _esc_tau1_binary, lambda: _esc_tau1_probe, None),
     "identical": (
         "goods",
         False,
@@ -64,13 +86,14 @@ FAMILIES = {
         IDENTICAL_TAUS,
         _identical_binary_esw,
         lambda: decider_probe(_identical_binary_esw)[1],
+        None,
     ),
 }
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_probe_agrees_with_decider(family):
-    kind, balanced, identical, pool, decider, make_probe_for = FAMILIES[family]
+    kind, balanced, identical, pool, decider, make_probe_for, public = FAMILIES[family]
     seed = zlib.crc32(family.encode())
     print(f"seed {seed}")
     rng = random.Random(seed)
@@ -86,8 +109,17 @@ def test_probe_agrees_with_decider(family):
         inst = random_instance(rng, n, m, kind=kind, max_value=top, identical=identical, taus=taus)
         probe = make_probe_for()(inst)
         for nu in candidate_levels(inst):
-            expected = decider(threshold_binary(inst, nu)).feasible
-            assert probe(nu) == expected, (nu, inst)
+            # The level decider reads the original values at nu exactly as it
+            # reads the rewritten instance at level 1, edge for edge.
+            allocation = decider(inst, nu)
+            binary = threshold_binary(inst, nu)
+            assert allocation == decider(binary, 1), (nu, inst)
+            assert probe(nu) == (allocation is not None), (nu, inst)
+            if public is not None:
+                report = public(binary)
+                assert report.feasible == (allocation is not None), (nu, inst)
+                expected = allocation if report.feasible else fallback(inst, balanced)
+                assert report.allocation == expected, (nu, inst)
 
 
 def refuse_probe(instance):
@@ -108,12 +140,12 @@ def test_one_level_search_makes_no_probe():
     draws += [random_instance(rng, 4, 4 * rng.randint(1, 3), binary=True) for _ in range(30)]
     for inst in draws:
         balanced_report = threshold_search(
-            inst, balanced_esw_binary, refuse_probe, "balanced_esw", balanced=True
+            inst, copies_decider, refuse_probe, "balanced_esw", balanced=True
         )
         assert balanced_report == balanced_esw(inst)
         tau1 = goods(["1/1"] * inst.n, inst.values)
         report = threshold_search(
-            tau1, unbalanced_esw_binary_tau1, refuse_probe, "unbalanced_esw", balanced=False
+            tau1, _tau1_decider, refuse_probe, "unbalanced_esw", balanced=False
         )
         assert report == unbalanced_esw(tau1)
 
@@ -162,8 +194,8 @@ def test_identical_split_matches_reference(tau):
         ones = max(1, cost + rng.randint(-2, 4))
         row = [0] * zeros + [1] * ones
         rng.shuffle(row)
-        report = _identical_binary_esw(goods([tau] * n, [row] * n))
-        assert report.feasible == (cost <= ones)
-        if report.feasible:
-            bundles = report.allocation.bundles(n)
+        allocation = _identical_binary_esw(goods([tau] * n, [row] * n), 1)
+        assert (allocation is not None) == (cost <= ones)
+        if allocation is not None:
+            bundles = allocation.bundles(n)
             assert [sum(1 for g in b if row[g] == 0) for b in bundles] == split
