@@ -7,16 +7,16 @@ over candidate levels followed by one decision.  Nothing is rewritten: a
 *level decider* ``decide(instance, nu)`` reads the good entries of the
 rewritten instance straight off the original values (value >= nu for goods,
 disutility < nu for chores) and returns an allocation reaching the level,
-or None.  The search asks a *probe*, a yes/no test of a level read off
-structures built once from the original values (for matching deciders,
-each agent's items sorted by value, so a level is one bisect per agent);
-only the 1/3 and identical-valuation deciders probe by deciding.  The
-decider then runs once, at the boundary level nu*, and its allocation is
-the report.  That is the allocation a search over decider calls would keep,
-because the last feasible probe of a monotone binary search is the
-boundary.  The public binary deciders run a level decider at level 1 and
-are the only place a ``feasible`` flag is reported.  The balanced solvers
-of both kinds share one copies-to-items matching decider and its probe.
+or None.  The search asks a *probe*, a pure yes/no test of a level read
+off structures built once from the original values (for matching
+deciders, each agent's items sorted by value, so a level is one bisect per
+agent); no probe builds an allocation.  The decider then runs once, at the
+boundary level nu*, and its allocation is the report.  That is the
+allocation a search over decider calls would keep, because the last
+feasible probe of a monotone binary search is the boundary.  The public
+binary deciders run a level decider at level 1 and are the only place a
+``feasible`` flag is reported.  The balanced solvers of both kinds share
+one copies-to-items matching decider and its probe.
 """
 
 from __future__ import annotations
@@ -42,8 +42,7 @@ from .matching import saturating_match
 #: An allocation in which every agent reaches the level (goods: value >= nu;
 #: chores: cost <= nu - 1), or None when there is none.
 LevelDecider = Callable[[Instance, int], "Allocation | None"]
-#: Whether a level is feasible: the level decider's verdict, computed where
-#: possible without deciding.
+#: Whether a level is feasible: the level decider's verdict, without deciding.
 Probe = Callable[[int], bool]
 ProbeFactory = Callable[[Instance], Probe]
 
@@ -75,33 +74,6 @@ def level_adjacency(instance: Instance) -> Callable[[int], list[list[int]]]:
         return [order[: bisect_right(key, limit)] for order, key in zip(orders, keys)]
 
     return prefixes
-
-
-def decider_probe(decider: LevelDecider) -> tuple[LevelDecider, ProbeFactory]:
-    """The probe of a decider with no cheaper test: its verdict at each level.
-
-    Returns the decider, wrapped to hand back the allocation of the last
-    feasible probe when asked to decide that same level, so the boundary
-    level is not decided twice, and the probe factory.  Make one pair per
-    search.
-    """
-    kept: list[tuple[int, Allocation]] = []
-
-    def probe_for(instance: Instance) -> Probe:
-        def probe(nu: int) -> bool:
-            allocation = decider(instance, nu)
-            if allocation is not None:
-                kept[:] = [(nu, allocation)]
-            return allocation is not None
-
-        return probe
-
-    def decide(instance: Instance, nu: int) -> Allocation | None:
-        if kept and kept[0][0] == nu:
-            return kept[0][1]
-        return decider(instance, nu)
-
-    return decide, probe_for
 
 
 def _copies(items: list[list[int]], quotas: list[int]) -> list[list[int]]:

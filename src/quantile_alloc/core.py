@@ -53,7 +53,7 @@ class Quantile:
     denominator: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.numerator, int) or not isinstance(self.denominator, int):
+        if type(self.numerator) is not int or type(self.denominator) is not int:
             raise InvalidInstanceError("quantile parts must be integers")
         if self.denominator <= 0:
             raise InvalidInstanceError("quantile denominator must be positive")
@@ -96,7 +96,7 @@ def quantile_index(tau: Quantile, s: int) -> int:
     Equals ``ceil(tau * s)`` for ``tau > 0`` and 1 for ``tau = 0``; always in
     ``[1, s]``.  The ceiling is computed as ``(p*s + q - 1) // q`` in integers.
     """
-    if s < 1:
+    if type(s) is not int or s < 1:
         raise ValueError("bundle size must be at least 1")
     if tau.is_zero:
         return 1
@@ -109,7 +109,7 @@ def demand_quota(tau: Quantile, k: int) -> int:
 
     The min() only bites at ``tau = 0``.  Result is always in [1, k].
     """
-    if k < 1:
+    if type(k) is not int or k < 1:
         raise ValueError("bundle size must be at least 1")
     ceil_tk = (tau.numerator * k + tau.denominator - 1) // tau.denominator
     return min(k, k - ceil_tk + 1)

@@ -7,7 +7,8 @@ one threshold search of ``_threshold.py``, shared with the chores solvers,
 over a pair: a probe, a cheap yes/no test of "can everyone get value >= nu?"
 at a level, and a level decider, which reads the items worth >= nu straight
 off the original values and builds the allocation.  Neither rewrites the
-instance.  The probes find the boundary level, and the decider runs once
+instance.  The probes are pure: a matching size, a count or a bisect, never
+a decision.  They find the boundary level, and the decider runs once
 there.  Each public ``*_binary*`` decider is its input checks plus its
 level decider at level 1.
 
@@ -22,6 +23,7 @@ no multiplicative approximation is possible once the decision is NP-hard.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import combinations, islice
 
 from ._construct import owner_from_bundles
 from ._threshold import (
@@ -31,7 +33,6 @@ from ._threshold import (
     binary_report,
     copies_decider,
     copies_probe,
-    decider_probe,
     good_entries,
     level_adjacency,
     require_binary,
@@ -46,7 +47,7 @@ from .core import (
     SolveReport,
     require_objective_kind,
 )
-from .matching import Graph, max_weight_general, saturating_match
+from .matching import Graph, max_cardinality_general, max_weight_general, saturating_match
 
 
 def _zero_one_split(instance: Instance, nu: int) -> tuple[list[int], list[int]]:
@@ -104,30 +105,14 @@ def _frac_decider(instance: Instance, nu: int) -> Allocation | None:
         if i != -1:
             bundles[i].append(g)
     rem_ones = [g for g in ones if agent_of_item[g] == -1]
-    rem_zeros = list(zeros)
-
-    pos1 = 0
-    pos0 = 0
-    while pos1 < len(rem_ones) and pos0 < len(rem_zeros):
-        g = rem_ones[pos1]
-        pos1 += 1
-        carried = rem_zeros[pos0 : pos0 + t]
-        pos0 += len(carried)
-        i = _first_valuing_agent(instance, nu, g)
-        bundles[i].append(g)
-        bundles[i].extend(carried)
-
-    stragglers = rem_zeros[pos0:]
-    cursor = 0
+    escorts = min(len(rem_ones), (len(zeros) + t - 1) // t)
+    for k, g in enumerate(rem_ones[:escorts]):
+        bundles[_first_valuing_agent(instance, nu, g)] += [g, *zeros[k * t : (k + 1) * t]]
+    stragglers = zeros[escorts * t :]
+    assert len(stragglers) <= n * (t - 1), "straggler zeros exceed capacity"
     for i in range(n):
-        if cursor >= len(stragglers):
-            break
-        chunk = stragglers[cursor : cursor + (t - 1)]
-        bundles[i].extend(chunk)
-        cursor += len(chunk)
-    assert cursor >= len(stragglers), "straggler zeros exceed capacity"
-
-    for g in rem_ones[pos1:]:
+        bundles[i].extend(stragglers[i * (t - 1) : (i + 1) * (t - 1)])
+    for g in rem_ones[escorts:]:
         bundles[_first_valuing_agent(instance, nu, g)].append(g)
 
     return owner_from_bundles(bundles, instance.m)
@@ -137,13 +122,30 @@ def unbalanced_esw_binary_frac(instance: Instance, t: int) -> SolveReport:
     """Decide egalitarian welfare 1 for binary goods at quantile t/(t+1)
     (see ``_frac_decider``)."""
     require_binary(instance, "esw")
-    if t < 1:
+    if type(t) is not int or t < 1:
         raise InvalidInstanceError("t must be a positive integer")
     if any(q != Quantile(t, t + 1) for q in instance.quantiles):
         raise IntractableQuantileError(
             f"quantile mismatch: solver requires homogeneous quantile {t}/{t + 1}"
         )
     return binary_report(instance, _frac_decider, "unbalanced_esw_binary_frac", balanced=False)
+
+
+def _third_graph(
+    instance: Instance, nu: int
+) -> tuple[list[int], list[int], list[list[int]], list[tuple[int, int]]]:
+    """The 1/3 graph at level nu: the universal zeros, the other items (the
+    1-items, ``ones[pos]`` being vertex n + pos), per agent the positions of
+    its 1-items, and the edges: agent-item in agent then position order,
+    then the ascending item pairs some agent values both >= nu."""
+    n, values = instance.n, instance.values
+    zeros, ones = _zero_one_split(instance, nu)
+    valuers = [sum(1 << i for i, row in enumerate(values) if row[g] >= nu) for g in ones]
+    agent_items = [[pos for pos, g in enumerate(ones) if row[g] >= nu] for row in values]
+    edges = [(i, n + pos) for i, row in enumerate(agent_items) for pos in row]
+    pairs = combinations(range(len(ones)), 2)
+    edges += [(n + pa, n + pb) for pa, pb in pairs if valuers[pa] & valuers[pb]]
+    return zeros, ones, agent_items, edges
 
 
 def _third_decider(instance: Instance, nu: int) -> Allocation | None:
@@ -158,42 +160,26 @@ def _third_decider(instance: Instance, nu: int) -> Allocation | None:
     |M_0| + n * (|vertices| + 1).
     """
     n, m = instance.n, instance.m
-    values = instance.values
-    zeros, ones = _zero_one_split(instance, nu)
+    zeros, ones, _, pairs = _third_graph(instance, nu)
     w_big = n + len(ones) + 1
-
-    edges: list[tuple[int, int, int]] = []
-    for i in range(n):
-        for pos, g in enumerate(ones):
-            if values[i][g] >= nu:
-                edges.append((i, n + pos, w_big))
-    for pa in range(len(ones)):
-        for pb in range(pa + 1, len(ones)):
-            ga, gb = ones[pa], ones[pb]
-            if any(row[ga] >= nu and row[gb] >= nu for row in values):
-                edges.append((n + pa, n + pb, 1))
-
-    matching = max_weight_general(Graph(num_vertices=n + len(ones), edges=tuple(edges)))
+    edges = tuple((u, v, w_big if u < n else 1) for u, v in pairs)
+    matching = max_weight_general(Graph(num_vertices=n + len(ones), edges=edges))
     if matching.weight < len(zeros) + n * w_big:
         return None
 
     bundles: list[list[int]] = [[] for _ in range(n)]
-    placed: set[int] = set()
-    pairs: list[tuple[int, int]] = []
+    item_pairs: list[tuple[int, int]] = []
     for u, v, _ in matching.edges:
-        if u < n or v < n:
-            i, g = (u, ones[v - n]) if u < n else (v, ones[u - n])
-            bundles[i].append(g)
-            placed.add(g)
+        if u < n:
+            bundles[u].append(ones[v - n])
         else:
-            pairs.append((ones[u - n], ones[v - n]))
-    assert len(placed) == n and len(pairs) >= len(zeros)
+            item_pairs.append((ones[u - n], ones[v - n]))
+    assert all(bundles) and len(item_pairs) >= len(zeros)
 
-    for z, (ga, gb) in zip(zeros, pairs):
-        i = _first_valuing_agent(instance, nu, ga, gb)
-        bundles[i].extend((z, ga, gb))
-        placed.update((ga, gb))
+    for z, (ga, gb) in zip(zeros, item_pairs):
+        bundles[_first_valuing_agent(instance, nu, ga, gb)].extend((z, ga, gb))
 
+    placed = {g for bundle in bundles for g in bundle}
     for g in ones:
         if g not in placed:
             bundles[_first_valuing_agent(instance, nu, g)].append(g)
@@ -289,17 +275,35 @@ def _tau0_probe(instance: Instance) -> Probe:
     return lambda nu: nu <= least_max and saturates(nu)
 
 
-def _frac_probe(instance: Instance, t: int) -> Probe:
+def _frac_probe(instance: Instance) -> Probe:
     """Probe of ``_frac_decider``: the count |M_0| <= t*|M_1| - n
     at the level, where |M_0| counts the items below it for everyone, and
     the agents saturate."""
     n, m = instance.n, instance.m
+    t = instance.quantiles[0].numerator
     column_max = sorted(max(column) for column in zip(*instance.values))
     saturates = _saturation_probe(instance)
 
     def probe(nu: int) -> bool:
         zeros = bisect_left(column_max, nu)
         return zeros <= t * (m - zeros) - n and saturates(nu)
+
+    return probe
+
+
+def _third_probe(instance: Instance) -> Probe:
+    """Probe of ``_third_decider``: the agents saturate into their 1-items,
+    and the 1/3 graph has a maximum-cardinality matching of at least
+    n + |M_0| edges.  Augmenting paths never unmatch a vertex, so a maximum
+    matching grown from the saturating one covers every agent and holds at
+    least |M_0| item pairs: the decider's weight test."""
+    n = instance.n
+
+    def probe(nu: int) -> bool:
+        zeros, ones, agent_items, edges = _third_graph(instance, nu)
+        if saturating_match(agent_items, len(ones)) is None:
+            return False
+        return max_cardinality_general(n + len(ones), edges) >= n + len(zeros)
 
     return probe
 
@@ -314,12 +318,12 @@ def _esw_search_for(tau: Quantile) -> tuple[LevelDecider, ProbeFactory]:
             f"intractable quantile {tau}: maximizing egalitarian welfare is NP-hard here "
             "and admits no multiplicative approximation"
         )
-    if family == "third":
-        return decider_probe(_third_decider)
-    if family == "frac":
-        t = tau.numerator
-        return _frac_decider, lambda inst: _frac_probe(inst, t)
-    pairs = {"tau0": (_tau0_decider, _tau0_probe), "tau1": (_tau1_decider, _saturation_probe)}
+    pairs = {
+        "tau0": (_tau0_decider, _tau0_probe),
+        "tau1": (_tau1_decider, _saturation_probe),
+        "third": (_third_decider, _third_probe),
+        "frac": (_frac_decider, _frac_probe),
+    }
     return pairs[family]
 
 
@@ -337,17 +341,46 @@ def unbalanced_esw(instance: Instance) -> SolveReport:
     return threshold_search(instance, decider, probe_for, "unbalanced_esw", balanced=False)
 
 
-def _identical_binary_esw(instance: Instance, nu: int) -> Allocation | None:
-    """Egalitarian welfare >= nu for identical valuations.
+def _zero_split(n: int, z_total: int, tau: Quantile) -> tuple[int, list[int]]:
+    """Fewest items worth >= nu (1-items) that give n agents at quantile
+    tau > 0 value >= nu with ``z_total`` worthless items among them, and the
+    worthless items each agent takes.
 
-    A bundle holding z items worth less than nu (worthless items) is worth
-    >= nu iff its size strictly exceeds z / tau, i.e. it needs
-    ``floor(z/tau) + 1 - z`` items worth >= nu (1-items).  That requirement
-    is a floor of a linear function, so an even split of the worthless items
-    is NOT always cheapest (for tau = 2/3, splitting four zeros as 1 + 3
-    needs 1 + 2 = 3 ones while 2 + 2 needs 2 + 2 = 4); a small DP minimizes
-    the total 1-items required over all splits exactly, in O(n * zeros^2).
+    A bundle holding z worthless items needs ``floor(z/tau) + 1 - z``
+    1-items, a floor of a linear function, so an even split is NOT always
+    cheapest (at tau = 2/3, zeros split 1 + 3 need 1 + 2 ones, 2 + 2 need
+    2 + 2).  With tau = p/q, p more zeros cost q - p more 1-items, so agent
+    0 absorbs p zeros from any later agent at no cost: the DP starts from
+    agent 0 taking every zero, and each later agent's smallest cheapest take
+    is below p, in O(n * z_total * p).
     """
+    p, q = tau.numerator, tau.denominator
+    ones_needed = [(z * q) // p + 1 - z for z in range(z_total + 1)]
+    window = ones_needed[:p]
+    # best[zz] = fewest 1-items needed when the agents so far hold zz zeros.
+    best = ones_needed
+    takes: list[list[int]] = []
+    for _ in range(n - 1):
+        # costs[total][take] = best[total - take] + ones_needed[take]; the
+        # first minimum is the smallest take among the cheapest.
+        costs = [
+            [best[total - take] + c for take, c in enumerate(window[: total + 1])]
+            for total in range(z_total + 1)
+        ]
+        best = [min(row) for row in costs]
+        takes.append([row.index(low) for row, low in zip(costs, best)])
+    # Agent 0 keeps the zeros the later agents leave.
+    split = [z_total] + [0] * (n - 1)
+    for i in range(n - 1, 0, -1):
+        split[i] = takes[i - 1][split[0]]
+        split[0] -= split[i]
+    return best[z_total], split
+
+
+def _identical_binary_esw(instance: Instance, nu: int) -> Allocation | None:
+    """Egalitarian welfare >= nu for identical valuations: the cheapest split
+    of the worthless items (see ``_zero_split``), each agent topped up with
+    the 1-items its share needs and agent 0 taking the rest."""
     n, m = instance.n, instance.m
     tau = instance.quantiles[0]
     row = instance.values[0]
@@ -355,68 +388,56 @@ def _identical_binary_esw(instance: Instance, nu: int) -> Allocation | None:
     ones = [g for g in range(m) if row[g] >= nu]
 
     if tau.is_zero:
-        if zeros or m < n:
-            return None
-        bundles = [[i] for i in range(n)]
-        bundles[0].extend(range(n, m))
-        return owner_from_bundles(bundles, m)
+        # One item per agent, agent 0 taking the rest.
+        return None if zeros or m < n else Allocation(tuple(g if g < n else 0 for g in range(m)))
 
-    z_total = len(zeros)
-    # ones_needed[z]: the smallest bundle size strictly above z / tau, minus
-    # the z zeros.  It is non-decreasing, so every split costs less than
-    # infinity.
-    ones_needed = [
-        (z * tau.denominator) // tau.numerator + 1 - z for z in range(z_total + 1)
-    ]
-    infinity = n * ones_needed[z_total] + 1
-    # best[zz] = fewest 1-items needed when the agents so far hold zz zeros.
-    best = [0] + [infinity] * z_total
-    takes: list[list[int]] = []
-    for _ in range(n):
-        nxt: list[int] = []
-        take_for: list[int] = []
-        for total in range(z_total + 1):
-            # costs[take] = best[total - take] + ones_needed[take]; the first
-            # minimum is the smallest take among the cheapest.
-            costs = [b + c for b, c in zip(best[total::-1], ones_needed)]
-            cheapest = min(costs)
-            nxt.append(cheapest)
-            take_for.append(costs.index(cheapest))
-        best = nxt
-        takes.append(take_for)
-
-    if best[z_total] > len(ones):
+    cost, split = _zero_split(n, len(zeros), tau)
+    if cost > len(ones):
         return None
 
-    split = [0] * n
-    remaining = z_total
-    for i in range(n - 1, -1, -1):
-        split[i] = takes[i][remaining]
-        remaining -= split[i]
-
-    bundles = [[] for _ in range(n)]
-    z_cursor = 0
-    o_cursor = 0
-    for i in range(n):
-        bundles[i].extend(zeros[z_cursor : z_cursor + split[i]])
-        z_cursor += split[i]
-        need = ones_needed[split[i]]
-        bundles[i].extend(ones[o_cursor : o_cursor + need])
-        o_cursor += need
-    bundles[0].extend(ones[o_cursor:])
+    # Each agent takes its zeros and the 1-items they need, in item order.
+    zero_items, one_items = iter(zeros), iter(ones)
+    bundles = [
+        list(islice(zero_items, take))
+        + list(islice(one_items, (take * tau.denominator) // tau.numerator + 1 - take))
+        for take in split
+    ]
+    bundles[0].extend(one_items)
     return owner_from_bundles(bundles, m)
+
+
+def _identical_probe(instance: Instance) -> Probe:
+    """Probe of ``_identical_binary_esw``: Z, the worthless items at the
+    level, is one bisect on the sorted shared row; the cheapest split of Z
+    must need at most m - Z 1-items (quantile 0: Z = 0 and m >= n)."""
+    n, m = instance.n, instance.m
+    tau = instance.quantiles[0]
+    row = sorted(instance.values[0])
+
+    def probe(nu: int) -> bool:
+        z_total = bisect_left(row, nu)
+        if tau.is_zero:
+            return z_total == 0 and m >= n
+        return _zero_split(n, z_total, tau)[0] <= m - z_total
+
+    return probe
+
+
+def require_identical(instance: Instance, objective: str) -> None:
+    """The identical-valuation solvers' checks: kind, shared row, shared quantile."""
+    require_objective_kind(instance, objective)
+    if not instance.has_identical_rows():
+        raise InvalidInstanceError("value rows are not identical")
+    if instance.homogeneous_quantile() is None:
+        raise InvalidInstanceError("quantiles are not identical")
 
 
 def identical_unbalanced_esw(instance: Instance) -> SolveReport:
     """Exact maximum egalitarian welfare for identical valuations (shared row
     and quantile), any quantile in [0, 1], via the threshold search over the
-    level decider, which also serves as its own probe."""
-    require_objective_kind(instance, "esw")
-    if not instance.has_identical_rows():
-        raise InvalidInstanceError("value rows are not identical")
-    if instance.homogeneous_quantile() is None:
-        raise InvalidInstanceError("quantiles are not identical")
-    decider, probe_for = decider_probe(_identical_binary_esw)
+    level decider and its bisect probe."""
+    require_identical(instance, "esw")
+    algorithm = "identical_unbalanced_esw"
     return threshold_search(
-        instance, decider, probe_for, "identical_unbalanced_esw", balanced=False
+        instance, _identical_binary_esw, _identical_probe, algorithm, balanced=False
     )

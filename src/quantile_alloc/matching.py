@@ -8,18 +8,18 @@ Three routines, all in exact integer arithmetic:
   ``_try_augment``), so it returns the matching of the plain search;
 * maximum-weight bipartite matching: the Hungarian method on the dense
   weight matrix, then a tie-break read off its optimal duals;
-* maximum-weight general matching: the blossom algorithm of networkx, for
-  graphs with odd cycles.
+* general matching: the blossom algorithm of networkx, for graphs with odd
+  cycles, at maximum weight or, on unit weights, for the maximum size.
 
 The solvers call the bipartite routines on plain lists they already hold:
 ``saturating_match`` on per-vertex adjacency and ``max_weight_pairs`` on
 edge ends and weights.  ``Graph`` and ``Matching`` validate the public
 API's input and output: ``max_cardinality_bipartite`` shares its
-augmenting search with ``saturating_match``, ``max_weight_bipartite`` is an
-adapter over ``max_weight_pairs``, and ``max_weight_general`` serves the
-1/3 decider's non-bipartite graphs.
+augmenting search with ``saturating_match``, and ``max_weight_bipartite``
+is an adapter over ``max_weight_pairs``.  The 1/3 decider's graph goes to
+``max_weight_general``, its probe's edges to ``max_cardinality_general``.
 
-Determinism contract: all three routines are pure functions of the input
+Determinism contract: every routine is a pure function of the input
 graph.  The weighted routines additionally break ties between equally heavy
 matchings toward the lexicographically smallest sorted edge-index sequence
 (missing entries comparing as +infinity, i.e. low-index edges are greedily
@@ -436,3 +436,12 @@ def max_weight_general(graph: Graph) -> Matching:
     mate_pairs = {frozenset(p) for p in nx.max_weight_matching(g, maxcardinality=False)}
     chosen = tuple(e for e in graph.edges if frozenset((e[0], e[1])) in mate_pairs)
     return Matching(chosen)
+
+
+def max_cardinality_general(num_vertices: int, pairs: Iterable[tuple[int, int]]) -> int:
+    """Size of a maximum matching of the graph on 0..num_vertices-1 with these
+    distinct edges: the blossom on unit weights, with no tie-break needed."""
+    g = nx.Graph()
+    g.add_nodes_from(range(num_vertices))
+    g.add_edges_from(pairs)
+    return len(nx.max_weight_matching(g))

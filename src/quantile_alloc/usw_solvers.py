@@ -30,7 +30,7 @@ from .core import (
     require_objective_kind,
     usw,
 )
-from .esw_solvers import identical_unbalanced_esw
+from .esw_solvers import identical_unbalanced_esw, require_identical
 from .matching import max_weight_pairs
 
 
@@ -140,11 +140,7 @@ def identical_binary_usw_unbalanced(instance: Instance) -> SolveReport:
     singleton per available 1-item, with care that nobody mixes 1-items and
     0-items in a bundle that would kill the singleton values.
     """
-    require_objective_kind(instance, "usw")
-    if not instance.has_identical_rows():
-        raise InvalidInstanceError("value rows are not identical")
-    if instance.homogeneous_quantile() is None:
-        raise InvalidInstanceError("quantiles are not identical")
+    require_identical(instance, "usw")
     if not instance.is_binary:
         raise InvalidInstanceError("entries must be binary")
 

@@ -64,6 +64,12 @@ class TestQuantile:
         with pytest.raises(InvalidInstanceError):
             Quantile.parse(text)
 
+    @pytest.mark.parametrize("parts", [(True, 2), (0, True), (False, 1), (1, 2.0)])
+    def test_rejects_non_int_parts(self, parts):
+        # A truth value would print as "True/2", which parse rejects.
+        with pytest.raises(InvalidInstanceError, match="quantile parts must be integers"):
+            Quantile(*parts)
+
 
 class TestQuantileIndex:
     @pytest.mark.parametrize(
@@ -102,6 +108,13 @@ class TestQuantileIndex:
     @given(tau=tau_st, k=size_st)
     def test_demand_quota_in_range(self, tau, k):
         assert 1 <= demand_quota(tau, k) <= k
+
+    @pytest.mark.parametrize("size", [2.5, 2.0, True, 0])
+    def test_rejects_non_int_sizes(self, size):
+        # A float or truth value must not enter an order-statistic index.
+        for function in (quantile_index, demand_quota):
+            with pytest.raises(ValueError, match="bundle size must be at least 1"):
+                function(Quantile(1, 2), size)
 
 
 class TestBundleValue:

@@ -151,6 +151,12 @@ class TestFracFamily:
         with pytest.raises(IntractableQuantileError):
             unbalanced_esw_binary_frac(goods(["1/3"], [[1]]), 1)
 
+    @pytest.mark.parametrize("t", [0, True, 1.0])
+    def test_rejects_non_positive_int_t(self, t):
+        # True must not run as t = 1.
+        with pytest.raises(InvalidInstanceError, match="t must be a positive integer"):
+            unbalanced_esw_binary_frac(goods(["1/2"], [[1]]), t)
+
     @pytest.mark.parametrize("t, tau", [(1, "1/2"), (2, "2/3"), (3, "3/4")])
     def test_decisions_match_oracle(self, t, tau):
         rng = random.Random(1000 + t)

@@ -17,7 +17,7 @@ from quantile_alloc import (
     max_weight_bipartite,
     max_weight_general,
 )
-from quantile_alloc.matching import max_weight_pairs, saturating_match
+from quantile_alloc.matching import max_cardinality_general, max_weight_pairs, saturating_match
 
 
 class TestGraphValidation:
@@ -146,6 +146,16 @@ class TestAgainstOracle:
         for _ in range(250):
             graph = random_graph(rng, max_vertices=8, max_edges=10, max_weight=4)
             assert max_weight_general(graph).edges == brute_matching(graph, weighted=True).edges
+
+    def test_general_cardinality_matches_brute_force(self):
+        seed = zlib.crc32(b"general cardinality")
+        print(f"seed {seed}")
+        rng = random.Random(seed)
+        for _ in range(250):
+            graph = random_graph(rng)
+            pairs = [(u, v) for u, v, _ in graph.edges]
+            size = max_cardinality_general(graph.num_vertices, pairs)
+            assert size == brute_matching(graph, weighted=False).size
 
     def test_bipartite_weight_matches_brute_force(self):
         rng = random.Random(456)

@@ -15,7 +15,6 @@ from quantile_alloc._threshold import (
     candidate_levels,
     copies_decider,
     copies_probe,
-    decider_probe,
     fallback,
     threshold_search,
 )
@@ -30,7 +29,9 @@ from quantile_alloc.core import Quantile, goods, threshold_binary
 from quantile_alloc.esw_solvers import (
     _esw_search_for,
     _identical_binary_esw,
+    _identical_probe,
     _tau1_decider,
+    _zero_split,
     balanced_esw,
     balanced_esw_binary,
     unbalanced_esw,
@@ -56,8 +57,7 @@ PUBLIC_BINARY = {
 # name -> (kind, balanced, identical, quantile pool, level decider, probe
 # factory maker, public binary decider or None).  A balanced family draws
 # mixed quantiles from the pool, the others one quantile for every agent.
-# The maker is called once per instance, since a decider-backed probe
-# belongs to one search.
+# The maker is called once per instance.
 FAMILIES = {
     "balanced_esw": (
         "goods", True, False, ALL_TAUS, copies_decider, lambda: copies_probe, balanced_esw_binary
@@ -85,7 +85,7 @@ FAMILIES = {
         True,
         IDENTICAL_TAUS,
         _identical_binary_esw,
-        lambda: decider_probe(_identical_binary_esw)[1],
+        lambda: _identical_probe,
         None,
     ),
 }
@@ -181,7 +181,7 @@ def reference_split(n: int, zeros: int, tau: Quantile) -> tuple[int, list[int]]:
     return best[zeros], split
 
 
-@pytest.mark.parametrize("tau", ["1/2", "2/3", "3/4", "2/5"])
+@pytest.mark.parametrize("tau", ["1/2", "2/3", "3/4", "2/5", "4/5", "3/7", "4/7"])
 def test_identical_split_matches_reference(tau):
     seed = zlib.crc32(tau.encode())
     print(f"seed {seed}")
@@ -191,6 +191,7 @@ def test_identical_split_matches_reference(tau):
         n = rng.randint(1, 8)
         zeros = rng.randint(0, 60)
         cost, split = reference_split(n, zeros, quantile)
+        assert _zero_split(n, zeros, quantile) == (cost, split)
         ones = max(1, cost + rng.randint(-2, 4))
         row = [0] * zeros + [1] * ones
         rng.shuffle(row)
